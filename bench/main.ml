@@ -476,49 +476,6 @@ let conflict_scaling () =
   print_string (T.render t)
 
 (* ------------------------------------------------------------------ *)
-(* Multicore verification (extension: the paper verifies sequentially)   *)
-(* ------------------------------------------------------------------ *)
-
-let parallel_verification () =
-  section
-    "Multicore verification (extension; the paper verifies its 780M pairs\n\
-     sequentially). Same races, wall time vs domain count.";
-  match Reg.find "pmulti_dset" with
-  | None -> ()
-  | Some w ->
-    let records = H.run ~scale:10 w in
-    let d = V.Estore.of_records ~nranks:w.H.nranks records in
-    let m = V.Match_mpi.run d in
-    let g = V.Hb_graph.build d m in
-    let sidx = V.Msc.build_index d in
-    let groups = V.Conflict.detect d in
-    let t =
-      T.create ~headers:[ "domains"; "races"; "verify (ms)" ]
-    in
-    T.set_aligns t [ T.Right; T.Right; T.Right ];
-    List.iter
-      (fun domains ->
-        let dt, (races, _) =
-          Vio_util.Stats.timeit ~repeats:1 (fun () ->
-              V.Verify.run_parallel ~domains V.Model.mpi_io g sidx d groups)
-        in
-        T.add_row t
-          [
-            string_of_int domains;
-            string_of_int (List.length races);
-            Printf.sprintf "%.2f" (dt *. 1000.);
-          ])
-      [ 1; 2; 4 ];
-    print_string (T.render t);
-    Printf.printf
-      "(this host exposes %d core(s) — Domain.recommended_domain_count = %d;\n\
-       with a single core, extra domains only add scheduling overhead. The\n\
-       table validates correctness — identical race sets — and the default\n\
-       domain count adapts to the host.)\n"
-      (Domain.recommended_domain_count ())
-      (Domain.recommended_domain_count ())
-
-(* ------------------------------------------------------------------ *)
 (* Batch engine: the corpus through sequential vs parallel pipelines     *)
 (* ------------------------------------------------------------------ *)
 
@@ -629,7 +586,6 @@ let () =
   scale_sweep ();
   tracing_overhead ();
   conflict_scaling ();
-  parallel_verification ();
   batch_corpus ();
   bechamel_benches ();
   print_newline ()

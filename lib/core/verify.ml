@@ -12,24 +12,29 @@ type stats = {
 
 let no_degradation _ = false
 
+module Itbl = Hashtbl.Make (Int)
+
 let run ?(pruning = true) ?(degraded = no_degradation)
     ?(partial = no_degradation) ?budget model reach sidx (d : Estore.t)
     groups =
   let checks = ref 0 in
   let fast = ref 0 in
+  let check = Msc.properly_synchronized model reach sidx in
   (* Memoize pair verdicts: the pruning rules revisit boundary pairs, and
      every unordered pair appears in two mirrored groups. *)
-  let memo : (int * int, bool) Hashtbl.t = Hashtbl.create 256 in
+  let nops = Estore.length d in
+  let memo = Itbl.create 256 in
   let ps a b =
-    match Hashtbl.find_opt memo (a, b) with
-    | Some v -> v
-    | None ->
+    let key = (a * nops) + b in
+    match Itbl.find memo key with
+    | v -> v
+    | exception Not_found ->
       incr checks;
       (match budget with
       | Some b -> Vio_util.Budget.spend b ~stage:"verify" 1
       | None -> ());
-      let v = Msc.properly_synchronized model reach sidx ~x:a ~y:b in
-      Hashtbl.replace memo (a, b) v;
+      let v = check ~x:a ~y:b in
+      Itbl.add memo key v;
       v
   in
   let rule_hits = Array.make 4 0 in
@@ -130,64 +135,3 @@ let run ?(pruning = true) ?(degraded = no_degradation)
     (fun i hits -> M.incr ~n:hits (Printf.sprintf "verify/rule%d_hits" (i + 1)))
     rule_hits;
   (race_list, stats)
-
-let run_parallel ?domains ?(degraded = no_degradation)
-    ?(partial = no_degradation) model graph sidx (d : Estore.t) groups =
-  let ndomains =
-    match domains with
-    | Some n when n >= 1 -> n
-    | Some _ -> invalid_arg "Verify.run_parallel: domains must be positive"
-    | None -> min 8 (Domain.recommended_domain_count ())
-  in
-  let groups_arr = Array.of_list groups in
-  let n = Array.length groups_arr in
-  if ndomains = 1 || n = 0 then
-    run ~degraded ~partial model
-      (Reach.create Reach.Vector_clock graph)
-      sidx d groups
-  else begin
-    let chunk = (n + ndomains - 1) / ndomains in
-    let work k =
-      let lo = k * chunk in
-      let hi = min n (lo + chunk) in
-      if lo >= hi then ([], { groups = 0; pairs = 0; ps_checks = 0;
-                              fast_groups = 0; rule_hits = Array.make 4 0 })
-      else
-        (* Each domain gets its own engine: queries are then fully
-           domain-local over the shared immutable graph. *)
-        let reach = Reach.create Reach.Vector_clock graph in
-        run ~degraded ~partial model reach sidx d
-          (Array.to_list (Array.sub groups_arr lo (hi - lo)))
-    in
-    let handles =
-      List.init (ndomains - 1) (fun k -> Domain.spawn (fun () -> work (k + 1)))
-    in
-    let first = work 0 in
-    let parts = first :: List.map Domain.join handles in
-    let seen = Hashtbl.create 256 in
-    let races =
-      List.concat_map fst parts
-      |> List.filter (fun r ->
-             if Hashtbl.mem seen (r.rx, r.ry) then false
-             else begin
-               Hashtbl.replace seen (r.rx, r.ry) ();
-               true
-             end)
-      |> List.sort (fun a b -> compare (a.rx, a.ry) (b.rx, b.ry))
-    in
-    let stats =
-      List.fold_left
-        (fun acc (_, s) ->
-          {
-            groups = acc.groups + s.groups;
-            pairs = acc.pairs + s.pairs;
-            ps_checks = acc.ps_checks + s.ps_checks;
-            fast_groups = acc.fast_groups + s.fast_groups;
-            rule_hits = Array.map2 ( + ) acc.rule_hits s.rule_hits;
-          })
-        { groups = 0; pairs = Conflict.distinct_pairs groups; ps_checks = 0;
-          fast_groups = 0; rule_hits = Array.make 4 0 }
-        (List.map (fun (r, s) -> (r, { s with pairs = 0 })) parts)
-    in
-    (races, stats)
-  end

@@ -70,20 +70,3 @@ val run :
     {!Under_partial_order}. [budget], when given, is charged one step per
     properly-synchronized evaluation and the stage aborts with
     {!Vio_util.Budget.Exhausted} when it runs out. *)
-
-val run_parallel :
-  ?domains:int ->
-  ?degraded:(int -> bool) ->
-  ?partial:(int -> bool) ->
-  Model.t ->
-  Hb_graph.t ->
-  Msc.sync_index ->
-  Estore.t ->
-  Conflict.group list ->
-  race list * stats
-(** Multicore verification: conflict groups are partitioned across
-    [domains] (default: [Domain.recommended_domain_count ()], capped at 8)
-    OCaml domains, each with its own happens-before engine instance over
-    the shared immutable graph; race sets are merged. An extension beyond
-    the paper, which verifies its 780M pairs sequentially. Results are
-    identical to {!run} with pruning. *)

@@ -203,6 +203,76 @@ let prop_lattice_monotone =
             verdicts)
         engines)
 
+(* The indexed MSC search decides each pair from one sync per rank per
+   step; the oracle tries every op of the trace at every step. They must
+   agree on every ordered pair of same-file data ops — conflicting or
+   not, same rank or not — under every registered model and a "Fence"
+   model whose opaque predicates match sync ops of any file. *)
+let fence =
+  let any tag =
+    V.Model.opaque_pred ~name:"any" (fun d i ~fid:_ ->
+        V.Estore.kind_tag d i = tag)
+  in
+  V.Model.make ~name:"Fence" ~sync_set:[ "any_sync"; "any_close"; "any_open" ]
+    ~msc_desc:"-hb-> any_sync -hb-> | -po-> any_close -hb-> any_open -po->"
+    ~mscs:
+      [
+        { V.Model.edges = [ V.Model.Hb; V.Model.Hb ];
+          syncs = [ any V.Estore.tag_sync ] };
+        { V.Model.edges = [ V.Model.Po; V.Model.Hb; V.Model.Po ];
+          syncs = [ any V.Estore.tag_close; any V.Estore.tag_open ] };
+      ]
+    ()
+
+let prop_msc_matches_oracle =
+  QCheck2.Test.make ~name:"indexed MSC search = oracle MSC search, every pair"
+    ~count:6 ~long_factor:5
+    ~print:(fun (seed, nranks, extended) ->
+      Printf.sprintf "seed %d, %d ranks, %s" seed nranks
+        (if extended then "Extended" else "Classic"))
+    QCheck2.Gen.(triple (int_range 1 99999) (int_range 2 16) bool)
+    (fun (seed, nranks, extended) ->
+      let profile = if extended then W.Extended else W.Classic in
+      let p = W.generate ~profile ~nranks ~seed () in
+      let d = V.Estore.of_records ~nranks (W.run p) in
+      let g = V.Hb_graph.build d (V.Match_mpi.run d) in
+      let sidx = V.Msc.build_index d in
+      let datas =
+        List.filter (V.Estore.is_data d) (List.init (V.Estore.length d) Fun.id)
+      in
+      let pairs =
+        List.concat_map
+          (fun x ->
+            List.filter_map
+              (fun y ->
+                if x <> y && V.Estore.fid d x = V.Estore.fid d y then
+                  Some (x, y)
+                else None)
+              datas)
+          datas
+      in
+      let engines = [ V.Reach.Vector_clock; V.Reach.Interval_index ] in
+      List.for_all
+        (fun model ->
+          let expected =
+            List.map
+              (fun (x, y) -> V.Oracle.properly_synchronized model g d ~x ~y)
+              pairs
+          in
+          List.for_all
+            (fun engine ->
+              let ps =
+                V.Msc.properly_synchronized model (V.Reach.create engine g) sidx
+              in
+              List.for_all2
+                (fun (x, y) want ->
+                  ps ~x ~y = want
+                  || QCheck2.Test.fail_reportf "%s, %s: ps %d %d should be %b"
+                       model.V.Model.name (V.Reach.engine_name engine) x y want)
+                pairs expected)
+            engines)
+        (V.Model.all () @ [ fence ]))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -234,5 +304,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_random_programs_agree;
           QCheck_alcotest.to_alcotest prop_lattice_monotone;
+          QCheck_alcotest.to_alcotest prop_msc_matches_oracle;
         ] );
     ]

@@ -468,6 +468,170 @@ let test_oracle_generic_over_registry () =
   check_bool "some model is clean on this trace" true !saw_clean;
   check_bool "some model races on this trace" true !saw_racy
 
+(* ------------------------------------------------------------------ *)
+(* Indexed chain search: edge cases                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Data ops of one rank and access kind, in program order. *)
+let data_ops d ~rank ~write =
+  Array.to_list (V.Estore.rank_chain d rank)
+  |> List.filter (fun i ->
+         V.Estore.is_data d i && V.Estore.is_write d i = write)
+
+(* [x -ps-> y] under [model] for the pair [pick] selects. The indexed
+   search answers under both engines the pipeline picks between, and must
+   agree with the oracle's exhaustive search. *)
+let ps_pair ~nranks model program pick =
+  let d = V.Estore.of_records ~nranks (collect ~nranks program) in
+  let g = V.Hb_graph.build d (V.Match_mpi.run d) in
+  let sidx = V.Msc.build_index d in
+  let x, y = pick d in
+  let want = V.Oracle.properly_synchronized model g d ~x ~y in
+  List.iter
+    (fun engine ->
+      check_bool
+        (V.Reach.engine_name engine ^ " agrees with the oracle")
+        want
+        (V.Msc.properly_synchronized model (V.Reach.create engine g) sidx ~x
+           ~y))
+    [ V.Reach.Vector_clock; V.Reach.Interval_index ];
+  want
+
+(* One MPI_File_sync is both s1 (po after the write) and s2 (po before
+   the read): the hb step between them is reflexive. *)
+let test_mpiio_one_sync_both_roles () =
+  let program ~sync (ctx : E.ctx) fs =
+    let comm = M.comm_world ctx in
+    let f =
+      Mpiio.File.open_ ctx ~comm ~fs
+        ~amode:[ Mpiio.File.Create; Mpiio.File.Rdwr ] "/x"
+    in
+    if ctx.E.rank = 0 then Mpiio.File.write_at ctx f ~off:0 (Bytes.make 4 'a');
+    if sync then Mpiio.File.sync ctx f;
+    if ctx.E.rank = 0 then ignore (Mpiio.File.read_at ctx f ~off:0 ~len:4);
+    Mpiio.File.close ctx f
+  in
+  let write_then_read d =
+    ( List.hd (data_ops d ~rank:0 ~write:true),
+      List.hd (data_ops d ~rank:0 ~write:false) )
+  in
+  check_bool "one sync serves as s1 and s2" true
+    (ps_pair ~nranks:2 V.Model.mpi_io (program ~sync:true) write_then_read);
+  check_bool "no sync, no chain" false
+    (ps_pair ~nranks:2 V.Model.mpi_io (program ~sync:false) write_then_read)
+
+(* Rank 2 commits twice before the barrier that orders it after the
+   write, then once after it. Its earliest commits are concurrent with
+   the write; only the later one links the chain. *)
+let test_commit_skips_unreached_early_syncs () =
+  let program ~late (ctx : E.ctx) fs =
+    let comm = M.comm_world ctx in
+    let fd = F.openf fs ~rank:ctx.E.rank ~flags:[ F.O_CREAT; F.O_RDWR ] "/x" in
+    if ctx.E.rank = 0 then
+      ignore (F.pwrite fs ~rank:0 fd ~off:0 (Bytes.make 4 'a'));
+    if ctx.E.rank = 2 then begin
+      F.fsync fs ~rank:2 fd;
+      F.fsync fs ~rank:2 fd
+    end;
+    M.barrier ctx comm;
+    if ctx.E.rank = 2 && late then F.fsync fs ~rank:2 fd;
+    M.barrier ctx comm;
+    if ctx.E.rank = 1 then ignore (F.pread fs ~rank:1 fd ~off:0 ~len:4);
+    F.close fs ~rank:ctx.E.rank fd
+  in
+  let pick d =
+    ( List.hd (data_ops d ~rank:0 ~write:true),
+      List.hd (data_ops d ~rank:1 ~write:false) )
+  in
+  check_bool "the later commit links the chain" true
+    (ps_pair ~nranks:3 V.Model.commit (program ~late:true) pick);
+  check_bool "the unreached commits alone do not" false
+    (ps_pair ~nranks:3 V.Model.commit (program ~late:false) pick)
+
+(* Stream closes and opens of /x sit between the descriptor ones on both
+   ranks. Close-to-open must skip them; Session accepts them. *)
+let test_c2o_skips_interleaved_stream_ops () =
+  let stream_reopen fs rank =
+    F.fclose fs ~rank (F.fopen fs ~rank ~mode:"r" "/x")
+  in
+  let published (ctx : E.ctx) fs =
+    let comm = M.comm_world ctx in
+    if ctx.E.rank = 0 then begin
+      let fd = F.openf fs ~rank:0 ~flags:[ F.O_CREAT; F.O_RDWR ] "/x" in
+      ignore (F.pwrite fs ~rank:0 fd ~off:0 (Bytes.make 4 'a'));
+      stream_reopen fs 0;
+      F.close fs ~rank:0 fd;
+      M.barrier ctx comm
+    end
+    else begin
+      M.barrier ctx comm;
+      stream_reopen fs 1;
+      let fd = F.openf fs ~rank:1 ~flags:[ F.O_RDWR ] "/x" in
+      stream_reopen fs 1;
+      ignore (F.pread fs ~rank:1 fd ~off:0 ~len:4);
+      F.close fs ~rank:1 fd
+    end
+  in
+  let stream_only (ctx : E.ctx) fs =
+    let comm = M.comm_world ctx in
+    let fd = F.openf fs ~rank:ctx.E.rank ~flags:[ F.O_CREAT; F.O_RDWR ] "/x" in
+    if ctx.E.rank = 0 then begin
+      ignore (F.pwrite fs ~rank:0 fd ~off:0 (Bytes.make 4 'a'));
+      stream_reopen fs 0
+    end;
+    M.barrier ctx comm;
+    if ctx.E.rank = 1 then begin
+      stream_reopen fs 1;
+      ignore (F.pread fs ~rank:1 fd ~off:0 ~len:4)
+    end;
+    F.close fs ~rank:ctx.E.rank fd
+  in
+  let pick d =
+    ( List.hd (data_ops d ~rank:0 ~write:true),
+      List.hd (data_ops d ~rank:1 ~write:false) )
+  in
+  check_bool "fd chain past stream ops satisfies Close-to-open" true
+    (ps_pair ~nranks:2 V.Model.close_to_open published pick);
+  check_bool "stream ops alone do NOT satisfy Close-to-open" false
+    (ps_pair ~nranks:2 V.Model.close_to_open stream_only pick);
+  check_bool "stream ops alone satisfy Session" true
+    (ps_pair ~nranks:2 V.Model.session stream_only pick)
+
+(* Rank 2 opens /x after the writer's close is ordered before it, but
+   Session's last edge is po: only an open on the reader's own rank
+   completes the chain. *)
+let test_session_open_on_readers_rank () =
+  let program ~reader_reopens (ctx : E.ctx) fs =
+    let comm = M.comm_world ctx in
+    let rank = ctx.E.rank in
+    let fd = F.openf fs ~rank ~flags:[ F.O_CREAT; F.O_RDWR ] "/x" in
+    if rank = 0 then begin
+      ignore (F.pwrite fs ~rank fd ~off:0 (Bytes.make 4 'a'));
+      F.close fs ~rank fd
+    end;
+    M.barrier ctx comm;
+    if rank = 2 then
+      F.close fs ~rank (F.openf fs ~rank ~flags:[ F.O_RDWR ] "/x");
+    M.barrier ctx comm;
+    if rank = 1 then begin
+      let rfd =
+        if reader_reopens then F.openf fs ~rank ~flags:[ F.O_RDWR ] "/x"
+        else fd
+      in
+      ignore (F.pread fs ~rank rfd ~off:0 ~len:4);
+      if reader_reopens then F.close fs ~rank rfd
+    end;
+    if rank <> 0 then F.close fs ~rank fd
+  in
+  let pick d =
+    ( List.hd (data_ops d ~rank:0 ~write:true),
+      List.hd (data_ops d ~rank:1 ~write:false) )
+  in
+  check_bool "an open on another rank does not count" false
+    (ps_pair ~nranks:3 V.Model.session (program ~reader_reopens:false) pick);
+  check_bool "the reader's own open does" true
+    (ps_pair ~nranks:3 V.Model.session (program ~reader_reopens:true) pick)
+
 let test_msc_sync_index () =
   let records =
     collect ~nranks:1 (fun ctx fs ->
@@ -517,5 +681,13 @@ let () =
           Alcotest.test_case "oracle generic over registry" `Quick
             test_oracle_generic_over_registry;
           Alcotest.test_case "sync index" `Quick test_msc_sync_index;
+          Alcotest.test_case "one MPI_File_sync as s1 and s2" `Quick
+            test_mpiio_one_sync_both_roles;
+          Alcotest.test_case "unreached early syncs skipped" `Quick
+            test_commit_skips_unreached_early_syncs;
+          Alcotest.test_case "interleaved non-matching syncs" `Quick
+            test_c2o_skips_interleaved_stream_ops;
+          Alcotest.test_case "session open on reader's rank" `Quick
+            test_session_open_on_readers_rank;
         ] );
     ]

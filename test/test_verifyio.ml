@@ -478,47 +478,6 @@ let test_engines_agree_on_verdicts () =
       V.Model.builtin
   done
 
-let test_parallel_verification_agrees () =
-  (* Domain-parallel verification returns exactly the sequential result. *)
-  let records =
-    collect ~nranks:4 (fun ctx fs ->
-        let comm = M.comm_world ctx in
-        let fd = F.openf fs ~rank:ctx.E.rank ~flags:[ F.O_CREAT; F.O_RDWR ] "/pv" in
-        for k = 0 to 9 do
-          if (k + ctx.E.rank) mod 3 = 0 then
-            ignore (F.pwrite fs ~rank:ctx.E.rank fd ~off:(k * 2) (b "ab"))
-          else ignore (F.pread fs ~rank:ctx.E.rank fd ~off:(k * 2) ~len:2);
-          if k mod 4 = 0 then M.barrier ctx comm
-        done;
-        F.close fs ~rank:ctx.E.rank fd)
-  in
-  let d = V.Estore.of_records ~nranks:4 records in
-  let m = V.Match_mpi.run d in
-  let g = V.Hb_graph.build d m in
-  let sidx = V.Msc.build_index d in
-  let groups = V.Conflict.detect d in
-  List.iter
-    (fun model ->
-      let seq_races, seq_stats =
-        V.Verify.run model (V.Reach.create V.Reach.Vector_clock g) sidx d groups
-      in
-      List.iter
-        (fun domains ->
-          let par_races, par_stats =
-            V.Verify.run_parallel ~domains model g sidx d groups
-          in
-          Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "%s: %d domains = sequential" model.V.Model.name
-               domains)
-            (List.map (fun (r : V.Verify.race) -> (r.V.Verify.rx, r.V.Verify.ry)) seq_races)
-            (List.map (fun (r : V.Verify.race) -> (r.V.Verify.rx, r.V.Verify.ry)) par_races);
-          check_int "same group count" seq_stats.V.Verify.groups
-            par_stats.V.Verify.groups;
-          check_int "same pair count" seq_stats.V.Verify.pairs
-            par_stats.V.Verify.pairs)
-        [ 1; 2; 4 ])
-    V.Model.builtin
-
 let test_pruning_equivalence () =
   for seed = 1 to 4 do
     let records =
@@ -654,8 +613,6 @@ let () =
             test_engines_agree_on_verdicts;
           Alcotest.test_case "pruning equivalence" `Quick
             test_pruning_equivalence;
-          Alcotest.test_case "parallel verification" `Quick
-            test_parallel_verification_agrees;
         ] );
       ( "reporting",
         [
