@@ -11,11 +11,11 @@
      S:IV-D     happens-before engine comparison
      Table IV   pipeline stage breakdown for the three slowest tests
 
-   followed by bechamel micro-benchmarks of the pipeline stages. Absolute
-   numbers differ from the paper (different machine, scaled-down
-   workloads); the shapes — who is racy where, which stage dominates which
-   test, who wins by how much — are the reproduction targets, recorded in
-   EXPERIMENTS.md. *)
+   followed by the race-count scale sweep, the tracing overhead and the
+   conflict-detection sweep-vs-scan comparison. Absolute numbers differ
+   from the paper (different machine, scaled-down workloads); the shapes
+   — who is racy where, which stage dominates which test, who wins by how
+   much — are the reproduction targets, recorded in EXPERIMENTS.md. *)
 
 module H = Workloads.Harness
 module Reg = Workloads.Registry
@@ -475,105 +475,6 @@ let conflict_scaling () =
     [ 200; 1000; 4000 ];
   print_string (T.render t)
 
-(* ------------------------------------------------------------------ *)
-(* Batch engine: the corpus through sequential vs parallel pipelines     *)
-(* ------------------------------------------------------------------ *)
-
-let batch_corpus () =
-  section
-    "Batch verification engine (extension): the full 91-workload corpus\n\
-     through the sequential per-model pipeline vs Batch.run at 1/2/4\n\
-     domains (shared trace artifacts per job). Writes BENCH_pr5.json.";
-  let r = Workloads.Bench_report.run ~tag:"pr4" ~repeats:3 () in
-  print_string (Workloads.Bench_report.summary r);
-  Workloads.Bench_report.write ~path:"BENCH_pr5.json" r;
-  print_endline "wrote BENCH_pr5.json (schema: EXPERIMENTS.md \"Perf trajectory\")"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                             *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_benches () =
-  section "Bechamel micro-benchmarks (ns per run, OLS estimate)";
-  let open Bechamel in
-  let w = Option.get (Reg.find "testphdf5") in
-  let records = H.run ~scale:2 w in
-  let nranks = w.H.nranks in
-  let decoded = V.Estore.of_records ~nranks records in
-  let matching = V.Match_mpi.run decoded in
-  let graph = V.Hb_graph.build decoded matching in
-  let groups = V.Conflict.detect decoded in
-  let sidx = V.Msc.build_index decoded in
-  let encoded = Recorder.Codec.encode ~nranks records in
-  let test_of name f = Test.make ~name (Staged.stage f) in
-  let engine_test eng =
-    let reach = V.Reach.create eng graph in
-    test_of
-      ("verify-" ^ V.Reach.engine_name eng)
-      (fun () -> ignore (V.Verify.run V.Model.mpi_io reach sidx decoded groups))
-  in
-  let tests =
-    Test.make_grouped ~name:"pipeline"
-      ([
-         test_of "decode-trace" (fun () ->
-             ignore (V.Estore.of_records ~nranks records));
-         test_of "detect-conflicts" (fun () ->
-             ignore (V.Conflict.detect decoded));
-         test_of "match-mpi" (fun () -> ignore (V.Match_mpi.run decoded));
-         test_of "build-hb-graph" (fun () ->
-             ignore (V.Hb_graph.build decoded matching));
-         test_of "vector-clocks" (fun () ->
-             ignore (V.Reach.create V.Reach.Vector_clock graph));
-         test_of "codec-encode" (fun () ->
-             ignore (Recorder.Codec.encode ~nranks records));
-         test_of "codec-decode" (fun () ->
-             ignore (Recorder.Codec.decode encoded));
-         (* Lenient decoding on a pristine trace measures the overhead of
-            the mode machinery alone; on a faulted trace it also pays for
-            diagnostic accumulation and record salvage. *)
-         test_of "codec-decode-lenient" (fun () ->
-             ignore
-               (Recorder.Codec.decode_ext ~mode:Recorder.Diagnostic.Lenient
-                  encoded));
-         (let faulted, _ =
-            Recorder.Inject.apply
-              [
-                { Recorder.Inject.kind = Recorder.Inject.Drop_record;
-                  rate = 0.05 };
-                { Recorder.Inject.kind = Recorder.Inject.Corrupt_arg;
-                  rate = 0.05 };
-              ]
-              ~seed:42 encoded
-          in
-          test_of "codec-decode-lenient-faulted" (fun () ->
-              ignore
-                (Recorder.Codec.decode_ext ~mode:Recorder.Diagnostic.Lenient
-                   faulted)));
-       ]
-      @ List.map engine_test V.Reach.all_engines)
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:true () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let t = T.create ~headers:[ "benchmark"; "ns/run" ] in
-  T.set_aligns t [ T.Left; T.Right ];
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ e ] -> Printf.sprintf "%.0f" e
-        | _ -> "n/a"
-      in
-      rows := (name, est) :: !rows)
-    results;
-  List.iter (fun (n, e) -> T.add_row t [ n; e ]) (List.sort compare !rows);
-  print_string (T.render t)
-
 let () =
   let rows = evaluate_all () in
   table_i ();
@@ -586,6 +487,4 @@ let () =
   scale_sweep ();
   tracing_overhead ();
   conflict_scaling ();
-  batch_corpus ();
-  bechamel_benches ();
   print_newline ()

@@ -5,7 +5,6 @@
      run              execute a workload and write its trace to a file
      verify           verify a trace file (or a named workload) against a model
      report           one-line verdict per model, races grouped by call chain
-     bench            corpus benchmark; writes a BENCH_<tag>.json perf report
      fuzz             differential fuzzing: generated workloads, every
                       optimized path vs the naive oracle, shrinking repros
      serve            crash-safe verification daemon over a spool directory
@@ -527,29 +526,6 @@ let parse_domains = function
     else
       Error
         (Printf.sprintf "bad domain list %S (want e.g. 1,2,4; all >= 1)" spec))
-
-let bench_cmd out tag domains_spec scale repeats smoke =
-  let ( let* ) r f = match r with Ok v -> f v | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  in
-  let* domains = parse_domains domains_spec in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None -> if smoke then [ 1; 2 ] else [ 1; 2; 4 ]
-  in
-  let repeats = if smoke then 1 else repeats in
-  let r = Workloads.Bench_report.run ~tag ?scale ~domains ~repeats ~smoke () in
-  print_string (Workloads.Bench_report.summary r);
-  let path =
-    match out with Some p -> p | None -> "BENCH_" ^ tag ^ ".json"
-  in
-  Workloads.Bench_report.write ~path r;
-  Printf.printf "wrote %s\n" path;
-  (* A benchmark whose parallel verdicts diverge from the sequential
-     pipeline is reporting numbers for a broken engine — fail loudly. *)
-  if r.Workloads.Bench_report.verdicts_identical then 0 else 3
 
 (* ---- fuzz: differential testing against the naive oracle ---- *)
 
@@ -1166,40 +1142,13 @@ let report_term =
     const report_cmd $ source_arg $ engine_arg $ shard_domains_arg
     $ grouped_arg)
 
-let tag_arg =
-  Arg.(
-    value & opt string "pr10"
-    & info [ "tag" ] ~docv:"TAG"
-        ~doc:
-          "Report tag; names the default output file $(b,BENCH_<TAG>.json) \
-           and is recorded inside the report.")
-
 let domains_arg =
   Arg.(
     value & opt string ""
     & info [ "domains" ] ~docv:"N,N,..."
         ~doc:
-          "Comma-separated worker-domain counts to benchmark the batch \
-           engine at (default 1,2,4; 1,2 with $(b,--smoke)).")
-
-let repeats_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "repeats" ] ~docv:"N"
-        ~doc:"Timed repetitions per configuration; best run is reported.")
-
-let smoke_arg =
-  Arg.(
-    value & flag
-    & info [ "smoke" ]
-        ~doc:
-          "Scaled-down run for CI: one repetition, domain counts 1,2. Same \
-           corpus and report schema as the full bench.")
-
-let bench_term =
-  Term.(
-    const bench_cmd $ out_arg $ tag_arg $ domains_arg $ scale_arg
-    $ repeats_arg $ smoke_arg)
+          "Comma-separated batch-engine domain counts to include as fuzz \
+           subjects (default 1,2,3,4; 1,2 with $(b,--smoke)).")
 
 let fuzz_seed_arg =
   Arg.(
@@ -1486,22 +1435,6 @@ let usage_exit code err_text =
     code
   end
 
-(* Measurement child re-exec: the bench spawns this same binary with
-   VERIFYIO_COLUMNAR_CHILD (or VERIFYIO_CODEC_CHILD, "<kind>:<path>")
-   set so decode walls and peak heaps are measured in a process that
-   has allocated nothing else. Must run before cmdliner. *)
-let () =
-  match Sys.getenv_opt "VERIFYIO_COLUMNAR_CHILD" with
-  | Some path ->
-    Workloads.Bench_report.columnar_child path;
-    exit 0
-  | None -> (
-    match Sys.getenv_opt "VERIFYIO_CODEC_CHILD" with
-    | Some spec ->
-      Workloads.Bench_report.codec_child spec;
-      exit 0
-    | None -> ())
-
 (* Environment-driven failpoint activation: unlike --failpoints, this
    reaches re-exec'd children and subcommands that do not expose the
    flag. Must run before cmdliner so the fabric is armed for whatever
@@ -1533,8 +1466,6 @@ let () =
         "Verify an execution trace against a consistency model";
       cmd_of report_term "report"
         "Per-model verdict summary of a trace or workload";
-      cmd_of bench_term "bench"
-        "Benchmark the corpus: sequential vs batch engine; write BENCH JSON";
       cmd_of fuzz_term "fuzz"
         "Differentially fuzz the verifier against the naive oracle";
       cmd_of serve_term "serve"

@@ -175,4 +175,4 @@ val quarantined : isolated list -> isolated list
 val verdicts_agree : result -> result -> bool
 (** Same models in the same order with identical race lists, unmatched
     counts and conflict counts — the batch-determinism check used by the
-    bench and the property tests. *)
+    property tests. *)

@@ -26,8 +26,7 @@
 
     Every stage reports wall time and headline counters to
     {!Vio_util.Metrics} (keys [pipeline/stage/*], [conflict/*], [graph/*],
-    [reach/*], [verify/*]) — the raw material of the [BENCH_*.json]
-    perf-trajectory files. *)
+    [reach/*], [verify/*]). *)
 
 type timings = {
   t_read : float;  (** decode records into operations *)
@@ -200,10 +199,10 @@ val verify_all_models :
   Recorder.Record.t list ->
   (Model.t * outcome) list
 (** One {e independent} pass per model (default {!Model.builtin}),
-    sharing nothing — each
-    timed end-to-end, re-deriving the trace artifacts every time. This is
-    the sequential baseline the bench compares the batch engine against;
-    prefer {!verify_shared} when the timings need not be independent. *)
+    sharing nothing — each timed end-to-end, re-deriving the trace
+    artifacts every time. This is the sequential baseline the differential
+    tests compare the batch engine against; prefer {!verify_shared} when
+    the timings need not be independent. *)
 
 val verify_shared :
   ?engine:Reach.engine ->

@@ -69,8 +69,8 @@ val concurrent : t -> int -> int -> bool
 (** Neither reaches the other. *)
 
 val query_count : t -> int
-(** Number of [reaches] queries served (for the pruning ablation and the
-    bench's per-engine throughput figures). *)
+(** Number of [reaches] queries served (for the pruning ablation and
+    perfbench's [reach.queries]). *)
 
 val memo_stats : t -> int * int
 (** [(hits, misses)] of the {!Bfs_memo} engine's per-source reachable-set

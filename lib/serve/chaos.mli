@@ -43,7 +43,7 @@ type report = {
   kills_delivered : int;  (** children that were actually SIGKILLed *)
   replay_walls : float list;
       (** wall-clock seconds of each child run that ran to completion
-          after the kills (journal replay included) — the bench's
+          after the kills (journal replay included) — the
           recovery-latency sample *)
   warm_cached : int;  (** warm resubmissions answered from cache *)
   warm_total : int;

@@ -1,6 +1,6 @@
 (** A minimal JSON document builder and parser for machine-readable
-    artifacts (benchmark reports, metrics snapshots, the service layer's
-    job files, journal lines and cache entries).
+    artifacts (benchmark reports, the service layer's job files, journal
+    lines and cache entries).
 
     Output is deterministic: object fields render in the order given,
     floats in ["%.6g"] (non-finite floats become [null], keeping every

@@ -76,22 +76,3 @@ let snapshot () =
 let find_counter s name = Option.value ~default:0 (List.assoc_opt name s.counters)
 
 let find_timer s name = List.assoc_opt name s.timers
-
-let to_json s =
-  Json.Obj
-    [
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.counters));
-      ( "timers",
-        Json.Obj
-          (List.map
-             (fun (k, (t : timer)) ->
-               ( k,
-                 Json.Obj
-                   [
-                     ("count", Json.Int t.count);
-                     ("total_s", Json.Float t.total);
-                     ("min_s", Json.Float t.min);
-                     ("max_s", Json.Float t.max);
-                   ] ))
-             s.timers) );
-    ]

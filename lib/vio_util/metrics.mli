@@ -3,10 +3,9 @@
 
     The verification pipeline threads coarse-grained measurements through
     this registry — per-stage wall times, pruning-rule hits,
-    happens-before query totals, memo-cache hits — so that batch runs and
-    the [verifyio bench] subcommand can emit a machine-readable
-    perf snapshot (the [BENCH_*.json] trajectory files) without any module
-    keeping private bookkeeping.
+    happens-before query totals, memo-cache hits — so that callers such
+    as the torture campaign can read them from one {!snapshot} without
+    any module keeping private bookkeeping.
 
     Counter bumps are lock-free (a per-name [Atomic.t] cell behind an
     immutable name map swapped in by compare-and-set), so concurrent Batch
@@ -50,7 +49,3 @@ val find_counter : snapshot -> string -> int
 (** The counter's value, or [0] when absent. *)
 
 val find_timer : snapshot -> string -> timer option
-
-val to_json : snapshot -> Json.t
-(** [{"counters": {name: n, ...}, "timers": {name: {"count": .., "total_s":
-    .., "min_s": .., "max_s": ..}, ...}}] with names in sorted order. *)

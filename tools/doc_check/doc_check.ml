@@ -1,6 +1,6 @@
 (* doc_check — keep the prose honest.
 
-   Two classes of documentation rot this tool catches:
+   Three classes of documentation rot this tool catches:
 
    1. Dead relative links: a [text](path) markdown link in README.md,
       DESIGN.md or docs/*.md whose target file no longer exists
@@ -9,6 +9,10 @@
    2. Stale flag names: a `--flag` token mentioned in the docs that no
       longer matches any option actually declared in
       bin/verifyio_cli.ml (flags get renamed; prose doesn't).
+
+   3. Stale subcommands: a `verifyio NAME`, $ verifyio NAME or
+      verifyio_cli.exe -- NAME mention whose NAME is not in the CLI's
+      `cmds` list (subcommands get deleted; examples don't).
 
    Run from anywhere with --root pointing at the workspace root. Exits
    non-zero with one line per problem; prints a one-line summary when
@@ -76,15 +80,18 @@ let links_of content =
   done;
   List.rev !acc
 
+(* 1-based line of byte [pos], for clickable messages. *)
+let line_at content pos =
+  let line = ref 1 in
+  String.iteri (fun i c -> if i < pos && c = '\n' then incr line) content;
+  !line
+
 let line_of content target =
-  (* 1-based line of the first occurrence, for clickable messages. *)
+  (* the line of the first occurrence *)
   match
     Str.search_forward (Str.regexp_string ("(" ^ target ^ ")")) content 0
   with
-  | pos ->
-      let line = ref 1 in
-      String.iteri (fun i c -> if i < pos && c = '\n' then incr line) content;
-      !line
+  | pos -> line_at content pos
   | exception Not_found -> 0
 
 let check_links md content =
@@ -108,6 +115,18 @@ let check_links md content =
          end);
   !checked
 
+(* Call [f] with the start of every match of [re] in [s], while
+   [Str.matched_group] still refers to that match; return the count. *)
+let each_match re s f =
+  let rec go from n =
+    match Str.search_forward re s from with
+    | start ->
+        f start;
+        go (start + 1) (n + 1)
+    | exception Not_found -> n
+  in
+  go 0 0
+
 (* ---- 2. stale flag names ----------------------------------------- *)
 
 (* Every long option the CLI actually declares: the quoted names inside
@@ -118,38 +137,49 @@ let declared_flags cli_source =
   List.iter (fun b -> Hashtbl.replace flags b ()) [ "help"; "version" ];
   let info_re = Str.regexp "info[ \t\n]*\\[\\([^]]*\\)\\]" in
   let name_re = Str.regexp "\"\\([^\"]*\\)\"" in
-  let pos = ref 0 in
-  (try
-     while true do
-       pos := Str.search_forward info_re cli_source !pos + 1;
-       let body = Str.matched_group 1 cli_source in
-       let p = ref 0 in
-       try
-         while true do
-           p := Str.search_forward name_re body !p + 1;
-           Hashtbl.replace flags (Str.matched_group 1 body) ()
-         done
-       with Not_found -> ()
-     done
-   with Not_found -> ());
+  ignore
+    (each_match info_re cli_source (fun _ ->
+         let body = Str.matched_group 1 cli_source in
+         ignore
+           (each_match name_re body (fun _ ->
+                Hashtbl.replace flags (Str.matched_group 1 body) ()))));
   flags
 
 let flag_re = Str.regexp "--\\([a-zA-Z][a-zA-Z0-9-]*\\)"
 
 let check_flags flags md content =
-  let checked = ref 0 in
-  let pos = ref 0 in
-  (try
-     while true do
-       pos := Str.search_forward flag_re content !pos + 1;
-       let name = Str.matched_group 1 content in
-       incr checked;
-       if not (Hashtbl.mem flags name) then
-         fail "%s: stale flag --%s — not declared in bin/verifyio_cli.ml" md
-           name
-     done
-   with Not_found -> ());
-  !checked
+  each_match flag_re content (fun _ ->
+      let name = Str.matched_group 1 content in
+      if not (Hashtbl.mem flags name) then
+        fail "%s: stale flag --%s — not declared in bin/verifyio_cli.ml" md
+          name)
+
+(* ---- 3. stale subcommands ---------------------------------------- *)
+
+(* The subcommand names the CLI registers: the first string literal after
+   each `cmd_of` that follows `let cmds =`. *)
+let declared_subcommands cli_source =
+  let names = Hashtbl.create 16 in
+  (match Str.search_forward (Str.regexp_string "let cmds =") cli_source 0 with
+  | start ->
+      let list = Str.string_after cli_source start in
+      let name_re = Str.regexp "cmd_of[^\"]*\"\\([^\"]*\\)\"" in
+      ignore
+        (each_match name_re list (fun _ ->
+             Hashtbl.replace names (Str.matched_group 1 list) ()))
+  | exception Not_found -> ());
+  names
+
+let subcommand_re =
+  Str.regexp
+    "\\(`verifyio \\|\\$ verifyio \\|verifyio_cli\\.exe -- \\)\\([a-z][a-z0-9-]*\\)"
+
+let check_subcommands cmds md content =
+  each_match subcommand_re content (fun start ->
+      let name = Str.matched_group 2 content in
+      if not (Hashtbl.mem cmds name) then
+        fail "%s:%d: stale subcommand %s — not in the cmds list of \
+              bin/verifyio_cli.ml" md (line_at content start) name)
 
 (* ---- driver ------------------------------------------------------- *)
 
@@ -163,20 +193,25 @@ let () =
     fail "cannot find %s — wrong --root?" cli;
     exit 1
   end;
-  let flags = declared_flags (read_file cli) in
+  let cli_source = read_file cli in
+  let flags = declared_flags cli_source in
+  let cmds = declared_subcommands cli_source in
+  if Hashtbl.length cmds = 0 then fail "no cmds list found in %s" cli;
   let mds = markdown_files !root in
   if mds = [] then fail "no markdown files found under %s" !root;
-  let links = ref 0 and mentions = ref 0 in
+  let links = ref 0 and mentions = ref 0 and uses = ref 0 in
   List.iter
     (fun md ->
       let content = read_file md in
       links := !links + check_links md content;
-      mentions := !mentions + check_flags flags md content)
+      mentions := !mentions + check_flags flags md content;
+      uses := !uses + check_subcommands cmds md content)
     mds;
   if !errors > 0 then begin
     Printf.eprintf "doc-check: %d problem(s)\n" !errors;
     exit 1
   end;
   Printf.printf
-    "doc-check: %d files, %d relative links, %d flag mentions — all good\n"
-    (List.length mds) !links !mentions
+    "doc-check: %d files, %d relative links, %d flag mentions, %d \
+     subcommand mentions — all good\n"
+    (List.length mds) !links !mentions !uses
