@@ -126,11 +126,6 @@ let resolve_engine = function
           on-the-fly, interval-index)"
          e)
 
-let resolve_shard_domains = function
-  | None -> Ok None
-  | Some k when k >= 1 -> Ok (Some k)
-  | Some _ -> Error "shard-domains must be a positive domain count"
-
 (* Render a Codec.Malformed position, including the byte offset and
    record number when the decoder knows them. *)
 let malformed_pos ~line ~byte ~record =
@@ -348,8 +343,8 @@ let apply_failpoints = function
     | Ok () -> Ok ()
     | Error e -> Error ("--failpoints: " ^ e))
 
-let verify_cmd failpoints source model_name engine_name shard_domains
-    all_models limit grouped lenient partial budget inject_spec seed =
+let verify_cmd failpoints source model_name engine_name all_models limit
+    grouped lenient partial budget inject_spec seed =
   let ( let* ) r f = match r with Ok v -> f v | Error e ->
     Printf.eprintf "%s\n" e;
     usage_error
@@ -359,7 +354,6 @@ let verify_cmd failpoints source model_name engine_name shard_domains
   in
   let* () = apply_failpoints failpoints in
   let* engine = resolve_engine engine_name in
-  let* shard_domains = resolve_shard_domains shard_domains in
   let* () =
     match budget with
     | Some b when b < 1 -> Error "budget must be a positive step count"
@@ -387,11 +381,11 @@ let verify_cmd failpoints source model_name engine_name shard_domains
     let o =
       match loaded with
       | `File ->
-        Verifyio.Pipeline.verify_file ?engine ?shard_domains ~mode ~partial
-          ?budget ~model source
+        Verifyio.Pipeline.verify_file ?engine ~mode ~partial ?budget ~model
+          source
       | `Records (nranks, records, upstream) ->
-        Verifyio.Pipeline.verify ?engine ?shard_domains ~mode ~upstream
-          ~partial ?budget ~model ~nranks records
+        Verifyio.Pipeline.verify ?engine ~mode ~upstream ~partial ?budget
+          ~model ~nranks records
     in
     if grouped then print_string (Verifyio.Report.grouped_report o)
     else print_string (Verifyio.Report.race_report ~limit o);
@@ -448,21 +442,18 @@ let verify_cmd failpoints source model_name engine_name shard_domains
    [--grouped], the distinct racing call-chain pairs of each racy model.
    Deliberately timing-free so the output is deterministic (cram-locked
    in test/cli_report.t). *)
-let report_cmd source engine_name shard_domains grouped =
+let report_cmd source engine_name grouped =
   let ( let* ) r f = match r with Ok v -> f v | Error e ->
     Printf.eprintf "%s\n" e;
     usage_error
   in
   let* engine = resolve_engine engine_name in
-  let* shard_domains = resolve_shard_domains shard_domains in
   (* File sources stream through the fused path; workloads materialize
      their records as before. Either way the decoded store rides along in
      each outcome, so the header counts come from it. *)
   let* outcomes =
     if Sys.file_exists source then
-      match
-        Verifyio.Pipeline.verify_shared_file ?engine ?shard_domains source
-      with
+      match Verifyio.Pipeline.verify_shared_file ?engine source with
       | outcomes -> Ok outcomes
       | exception Recorder.Codec.Malformed { line; byte; record; reason } ->
         Error
@@ -474,8 +465,7 @@ let report_cmd source engine_name shard_domains grouped =
     else
       Result.map
         (fun (nranks, records) ->
-          Verifyio.Pipeline.verify_shared ?engine ?shard_domains ~nranks
-            records)
+          Verifyio.Pipeline.verify_shared ?engine ~nranks records)
         (load_source source)
   in
   let store =
@@ -1036,16 +1026,6 @@ let engine_arg =
           "Happens-before engine: auto (dynamic selection), vector-clock, \
            reachability, closure, on-the-fly or interval-index.")
 
-let shard_domains_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "shard-domains" ] ~docv:"N"
-        ~doc:
-          "Build the happens-before graph through the sharded per-rank \
-           assembly across $(docv) domains (and fan binary v2 trace decoding \
-           out likewise). Verdicts are identical for every value; the \
-           default is the monolithic single-domain build.")
-
 let all_models_arg =
   Arg.(value & flag & info [ "a"; "all-models" ] ~doc:"Verify against all four models.")
 
@@ -1134,13 +1114,12 @@ let failpoints_arg =
 let verify_term =
   Term.(
     const verify_cmd $ failpoints_arg $ source_arg $ model_arg $ engine_arg
-    $ shard_domains_arg $ all_models_arg $ limit_arg $ grouped_arg
-    $ lenient_arg $ partial_arg $ budget_arg $ inject_arg $ seed_arg)
+    $ all_models_arg $ limit_arg $ grouped_arg $ lenient_arg $ partial_arg
+    $ budget_arg $ inject_arg $ seed_arg)
 
 let report_term =
   Term.(
-    const report_cmd $ source_arg $ engine_arg $ shard_domains_arg
-    $ grouped_arg)
+    const report_cmd $ source_arg $ engine_arg $ grouped_arg)
 
 let domains_arg =
   Arg.(
@@ -1383,7 +1362,7 @@ let torture_seeds_arg =
     & info [ "seeds" ] ~docv:"N"
         ~doc:
           "Workload seeds to sweep; each runs the full per-seed scenario \
-           matrix (31 scenarios covering every failpoint site).")
+           matrix (23 scenarios covering every failpoint site).")
 
 let torture_base_seed_arg =
   Arg.(
@@ -1406,7 +1385,7 @@ let torture_smoke_arg =
     value & flag
     & info [ "smoke" ]
         ~doc:
-          "CI-sized campaign: one seed (31 scenarios), same invariants as \
+          "CI-sized campaign: one seed (23 scenarios), same invariants as \
            the full sweep.")
 
 let torture_term =

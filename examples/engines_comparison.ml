@@ -1,8 +1,8 @@
-(* The five happens-before engines (paper S:IV-D plus the PR 8 interval
-   index) on one workload.
+(* The five happens-before engines (paper S:IV-D plus an interval index
+   for high rank counts) on one workload.
 
    All five — vector clocks, memoized graph reachability, transitive
-   closure, the on-the-fly search, and the sharded-scale interval index —
+   closure, the on-the-fly search, and the per-rank interval index —
    implement the same relation; they differ in where they spend time
    (precomputation vs per-query work). This example verifies the
    `testphdf5` workload with each engine, checks the verdicts coincide,

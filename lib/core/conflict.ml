@@ -69,7 +69,7 @@ let sweep_file (arr : ival array) =
       { x = anchor; peers } :: acc)
     conflicts []
 
-let detect ?(domains = 1) (e : E.t) =
+let detect (e : E.t) =
   (* Gather intervals per file id. Iterating op indices ascending and
      consing leaves each file's intervals in descending-index order — the
      sweep's sort is not stable, so this initial order is part of the
@@ -92,44 +92,13 @@ let detect ?(domains = 1) (e : E.t) =
       end
     end
   done;
-  (* Shard the sweep across domains, one task per file: files are
-     independent (conflicts never cross fids), so domains pull fids from a
-     shared cursor and write into per-fid result slots. Task order is
-     sorted by fid only so the big files (low fids, opened first) start
-     early; results are position-addressed, so scheduling cannot change
-     the output. *)
-  let tasks =
-    Hashtbl.fold (fun fid cell acc -> (fid, Array.of_list !cell) :: acc) by_fid []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> Array.of_list
-  in
-  let ntasks = Array.length tasks in
-  let results = Array.make ntasks [] in
-  let workers = max 1 (min domains ntasks) in
-  let run_worker next () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < ntasks then begin
-        results.(i) <- sweep_file (snd tasks.(i));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  if workers <= 1 then
-    for i = 0 to ntasks - 1 do
-      results.(i) <- sweep_file (snd tasks.(i))
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let spawned =
-      List.init (workers - 1) (fun _ -> Domain.spawn (run_worker next))
-    in
-    run_worker next ();
-    List.iter Domain.join spawned
-  end;
+  (* Files are independent (conflicts never cross fids) and anchors are
+     unique to a file, so sweeping them in any order and sorting by
+     anchor gives one deterministic result. *)
   let groups =
-    Array.fold_left (fun acc gs -> List.rev_append gs acc) [] results
+    Hashtbl.fold
+      (fun _ cell acc -> List.rev_append (sweep_file (Array.of_list !cell)) acc)
+      by_fid []
     |> List.sort (fun a b -> compare a.x b.x)
   in
   Vio_util.Metrics.incr "conflict/detect_runs";

@@ -17,15 +17,9 @@ type group = {
       (** (rank, conflicting op indices in program order), ascending rank *)
 }
 
-val detect : ?domains:int -> Estore.t -> group list
+val detect : Estore.t -> group list
 (** Groups ordered by anchor op index. Every unordered conflicting pair
-    appears in exactly two groups (once anchored at each end).
-
-    [domains] (default 1) shards the sweep across that many domains, one
-    task per file — conflicts never cross file ids, so files are swept
-    independently off a shared atomic cursor and merged by anchor index.
-    The output is identical for every domain count; [1] runs inline with
-    no domain spawned. *)
+    appears in exactly two groups (once anchored at each end). *)
 
 val group_pairs : group -> int
 (** Number of (X, Y) pairs in the group. *)

@@ -732,104 +732,34 @@ let of_records ?mode ~nranks records =
   List.iter (add b) records;
   finish b
 
-(* Parallel binary ingest: the codec's segment plan validates the
-   container once, then each domain decodes whole rank segments off an
-   atomic cursor into per-rank record slots (one writer per slot — no
-   contention). The builder is fed afterwards, rank by rank, which is
-   exactly the order the sequential stream delivers (binary segments are
-   stored in rank order), so the resulting store — column contents, pool
-   interning order, everything — is identical to the one-domain path. *)
-let of_file_parallel ~domains path =
-  let gc = Gc.get () in
-  Gc.set { gc with Gc.space_overhead = 40 };
-  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
-  let plan = Recorder.Codec.plan_file path in
-  let nranks = Recorder.Codec.plan_nranks plan in
-  let segs = Array.make (max 1 nranks) [||] in
-  let done_ = Array.make (max 1 nranks) false in
-  let errors = Array.make (max 1 nranks) None in
-  let decode_one r =
-    let acc = ref [] in
-    let _n =
-      Recorder.Codec.decode_plan_segment plan ~rank:r ~emit:(fun x ->
-          acc := x :: !acc)
-    in
-    (* [!acc] is in reverse seq order; flip it into the slot array. *)
-    let a = Array.of_list !acc in
-    let len = Array.length a in
-    Array.init len (fun i -> a.(len - 1 - i))
-  in
-  let cursor = Atomic.make 0 in
-  let work _w =
-    let continue = ref true in
-    while !continue do
-      let r = Atomic.fetch_and_add cursor 1 in
-      if r >= nranks then continue := false
-      else
-        match
-          Vio_util.Failpoint.hit "estore.segment";
-          decode_one r
-        with
-        | a ->
-          segs.(r) <- a;
-          done_.(r) <- true
-        | exception e -> errors.(r) <- Some e
-    done
-  in
-  let effective = max 1 (min domains (max 1 nranks)) in
-  let failures =
-    if effective = 1 then (work 0; [])
-    else
-      Vio_util.Supervisor.run_workers ~tag:"estore.segment" ~domains:effective
-        work
-  in
-  (* Degraded ranks — a failed segment decode or a worker domain that
-     died outside the per-rank capture — are retried sequentially on
-     this domain before anything is surfaced. A genuinely corrupt
-     segment fails its retry too and raises exactly the error the
-     sequential stream would have hit. *)
-  let degraded = ref (List.map (fun f -> f) failures) in
-  for r = nranks - 1 downto 0 do
-    if not done_.(r) then begin
-      (match errors.(r) with
-      | Some e ->
-        degraded :=
-          {
-            Vio_util.Supervisor.f_tag = "estore.segment";
-            f_index = r;
-            f_exn = Printexc.to_string e;
-          }
-          :: !degraded
-      | None -> ());
-      errors.(r) <- None
-    end
-  done;
-  if !degraded <> [] || Array.exists not (Array.sub done_ 0 nranks) then begin
-    Vio_util.Supervisor.note_fallback ~tag:"estore.segment" !degraded;
-    for r = 0 to nranks - 1 do
-      if not done_.(r) then
-        match decode_one r with
-        | a ->
-          segs.(r) <- a;
-          done_.(r) <- true
-        | exception e -> errors.(r) <- Some e
-    done
-  end;
-  (* Surface the lowest-rank failure — the one the sequential stream
-     would have hit first. *)
-  Array.iter (function Some e -> raise e | None -> ()) errors;
-  let b = builder ~mode:D.Strict ~nranks () in
-  Array.iter (fun seg -> Array.iter (add b) seg) segs;
-  finish b
+(* A streaming load is a bulk-allocation phase: every parsed record is
+   garbage as soon as its columns are copied out, so run it with the
+   major GC tracking the live set closely rather than letting the heap
+   balloon to the default 120% space overhead. The GC settings are
+   process-wide while [Batch] may decode several files at once, so the
+   override is reference-counted: the first load in saves and sets, the
+   last one out restores. *)
+let gc_lock = Mutex.create ()
 
-let of_file_seq ~mode path =
-  (* A streaming load is a bulk-allocation phase: every parsed record is
-     garbage as soon as its columns are copied out, so run it with the
-     major GC tracking the live set closely rather than letting the heap
-     balloon to the default 120% space overhead. Restored on exit. *)
-  let gc = Gc.get () in
-  Gc.set { gc with Gc.space_overhead = 40 };
-  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
+let gc_loads = ref 0
+
+let gc_saved = ref (Gc.get ())
+
+let with_load_gc f =
+  Mutex.protect gc_lock (fun () ->
+      if !gc_loads = 0 then begin
+        let gc = Gc.get () in
+        gc_saved := gc;
+        Gc.set { gc with Gc.space_overhead = 40 }
+      end;
+      incr gc_loads);
+  Fun.protect f ~finally:(fun () ->
+      Mutex.protect gc_lock (fun () ->
+          decr gc_loads;
+          if !gc_loads = 0 then Gc.set !gc_saved))
+
+let of_file ?(mode = D.Strict) path =
+  with_load_gc @@ fun () ->
   (* The codec hands records to the builder one at a time; no
      [Record.t list] is ever materialized. The lenient rank filter needs
      [nranks], which the codec reports only at the end — but the codec
@@ -856,14 +786,3 @@ let of_file_seq ~mode path =
       !pending;
   let e = finish b in
   { e with diagnostics = folded.Recorder.Codec.f_diagnostics @ e.diagnostics }
-
-let of_file ?domains ?(mode = D.Strict) path =
-  match domains with
-  | Some k
-    when k > 1 && mode = D.Strict
-         && Recorder.Codec.detect_file path = Recorder.Codec.Binary ->
-    (* Only binary v2 carries the per-rank footer index that makes
-       segments independently decodable; text v1 and lenient salvage
-       stay on the sequential stream. *)
-    of_file_parallel ~domains:k path
-  | _ -> of_file_seq ~mode path

@@ -61,21 +61,14 @@ val of_records :
     and I/O on descriptors whose open was lost are reported likewise.
     Records attributed to out-of-range ranks are dropped. *)
 
-val of_file : ?domains:int -> ?mode:Recorder.Diagnostic.mode -> string -> t
+val of_file : ?mode:Recorder.Diagnostic.mode -> string -> t
 (** Decode a trace file straight into the store, streaming records through
     {!Recorder.Codec.fold_records} — no [Record.t list] is ever built, so
     peak memory is the columns plus one codec chunk. Codec diagnostics
     precede decode diagnostics in {!diagnostics}, as in the two-step
-    boxed path.
-
-    [domains] (default 1), on a strict-mode binary v2 trace, fans the
-    decode out across that many OCaml domains: the codec's segment plan
-    ({!Recorder.Codec.plan_file}) validates the container and CRC once,
-    domains pull whole rank segments off an atomic cursor, and the
-    builder is then fed rank by rank — the order the sequential stream
-    delivers anyway — so the resulting store is identical for every
-    value. Text input and lenient mode ignore [domains] (salvage is
-    inherently sequential). *)
+    boxed path. The load runs with the major GC's [space_overhead]
+    lowered to 40; concurrent loads share one override, which is restored
+    when the last of them returns. *)
 
 type builder
 (** Accumulates records one at a time (unsorted); {!finish} sorts,

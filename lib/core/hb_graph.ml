@@ -194,267 +194,6 @@ let build (d : E.t) (m : Match_mpi.result) =
   | Some topo -> graph_of d a topo
   | None -> raise (E.Malformed "happens-before graph contains a cycle")
 
-(* ---------------------------------------------------------------- *)
-(* Sharded assembly (ROADMAP item 3)                                  *)
-(* ---------------------------------------------------------------- *)
-
-(* Shared-nothing partition of the graph by rank, after the IronFleet
-   sharded-hash-table sketch: each shard owns exactly its rank's
-   program-order chain (and the chain edges stay shard-local), while
-   every MPI match and collective edge is represented as an explicit
-   transfer edge between shards. Synthetic collective join nodes live on
-   no shard — they are the boundary: join k keeps the stable id
-   [n_real + k] (k = position among completed collectives in matcher
-   order) no matter how many domains built the shards, so transfer
-   endpoints are comparable across builds.
-
-   The expensive per-rank work — program-order positions and the
-   subtree-end walks every collective participant needs — is computed in
-   parallel across domains, one rank at a time off an atomic cursor
-   (the same work-stealing idiom as [Conflict.detect]). All writes are
-   position-addressed into per-node arrays, so workers never contend;
-   [Domain.join] publishes them to the merging domain. *)
-
-type transfer = {
-  t_src : int;
-  t_dst : int;
-  t_src_rank : int;
-  t_dst_rank : int;
-}
-
-type shard = {
-  sh_rank : int;
-  sh_nodes : int array;
-  sh_po_edges : int;
-  sh_out : transfer list;
-  sh_in : transfer list;
-}
-
-type sharded = {
-  s_d : E.t;
-  s_m : Match_mpi.result;
-  s_n_real : int;
-  s_n_total : int;
-  s_shards : shard array;
-  s_colls : (int * int option) list list;
-  s_sub_end : int array;  (* node -> subtree-end chain position, -1 elsewhere *)
-}
-
-let shards s = s.s_shards
-
-let shard_rank sh = sh.sh_rank
-
-let shard_nodes sh = sh.sh_nodes
-
-let shard_po_edges sh = sh.sh_po_edges
-
-let shard_out sh = sh.sh_out
-
-let shard_in sh = sh.sh_in
-
-let boundary_nodes s = (s.s_n_real, s.s_n_total - s.s_n_real)
-
-let build_sharded ?(domains = 1) (d : E.t) (m : Match_mpi.result) =
-  let n_real = E.length d in
-  let nranks = E.nranks d in
-  let completed_colls =
-    List.filter_map
-      (function
-        | Match_mpi.Collective { parts; completed = true } -> Some parts
-        | Match_mpi.Collective { completed = false; _ } | Match_mpi.P2p _ ->
-          None)
-      m.Match_mpi.events
-  in
-  let n_total = n_real + List.length completed_colls in
-  (* Which nodes need a subtree-end walk: every collective initiation and
-     completion record. Grouped by owning rank so each walk runs on the
-     domain that owns the rank's chain. *)
-  let need = Array.make (max 1 nranks) [] in
-  List.iter
-    (List.iter (fun (init, completion) ->
-         need.(E.rank d init) <- init :: need.(E.rank d init);
-         match completion with
-         | Some c -> need.(E.rank d c) <- c :: need.(E.rank d c)
-         | None -> ()))
-    completed_colls;
-  let pos = Array.make (max 1 n_total) (-1) in
-  let sub_end = Array.make (max 1 n_total) (-1) in
-  (* Parallel per-rank phase: chain positions, then the subtree-end of
-     every collective participant on the chain (contiguous-nesting walk,
-     identical to the sequential [assemble]'s). *)
-  let work rank =
-    let chain = E.rank_chain d rank in
-    Array.iteri (fun p idx -> pos.(idx) <- p) chain;
-    List.iter
-      (fun c ->
-        let tend = E.tend d c in
-        let rec go p =
-          if p + 1 < Array.length chain && E.tstart d chain.(p + 1) < tend then
-            go (p + 1)
-          else p
-        in
-        sub_end.(c) <- go pos.(c))
-      need.(rank)
-  in
-  let effective = max 1 (min domains (max 1 nranks)) in
-  if effective = 1 then
-    for rank = 0 to nranks - 1 do
-      work rank
-    done
-  else begin
-    let cursor = Atomic.make 0 in
-    let rec drain _w =
-      let rank = Atomic.fetch_and_add cursor 1 in
-      if rank < nranks then begin
-        Vio_util.Failpoint.hit "graph.shard";
-        work rank;
-        drain _w
-      end
-    in
-    let failures =
-      Vio_util.Supervisor.run_workers ~tag:"graph.shard" ~domains:effective
-        drain
-    in
-    (* A dead shard domain leaves some ranks unwalked. [work] only
-       overwrites its own rank's slots, so re-running every rank
-       sequentially is idempotent and restores full coverage. *)
-    if failures <> [] then begin
-      Vio_util.Supervisor.note_fallback ~tag:"graph.shard" failures;
-      for rank = 0 to nranks - 1 do
-        work rank
-      done
-    end
-  end;
-  (* Merge phase: route every cross-chain edge to its shards' transfer
-     lists. Program-order edges are never materialized here — each shard
-     owns its chain and the count is all downstream passes need. *)
-  let out = Array.make (max 1 nranks) [] in
-  let inc = Array.make (max 1 nranks) [] in
-  let transfer ~src ~dst ~src_rank ~dst_rank =
-    let t = { t_src = src; t_dst = dst; t_src_rank = src_rank;
-              t_dst_rank = dst_rank } in
-    if src_rank >= 0 then out.(src_rank) <- t :: out.(src_rank);
-    if dst_rank >= 0 then inc.(dst_rank) <- t :: inc.(dst_rank)
-  in
-  List.iter
-    (function
-      | Match_mpi.P2p { send; completion } ->
-        transfer ~src:send ~dst:completion ~src_rank:(E.rank d send)
-          ~dst_rank:(E.rank d completion)
-      | Match_mpi.Collective _ -> ())
-    m.Match_mpi.events;
-  List.iteri
-    (fun k parts ->
-      let join = n_real + k in
-      List.iter
-        (fun (init, completion) ->
-          let rank = E.rank d init in
-          let chain = E.rank_chain d rank in
-          transfer ~src:chain.(sub_end.(init)) ~dst:join ~src_rank:rank
-            ~dst_rank:(-1);
-          match completion with
-          | Some c ->
-            let crank = E.rank d c in
-            let cchain = E.rank_chain d crank in
-            let last = sub_end.(c) in
-            if last + 1 < Array.length cchain then
-              transfer ~src:join ~dst:cchain.(last + 1) ~src_rank:(-1)
-                ~dst_rank:crank
-          | None -> ())
-        parts)
-    completed_colls;
-  let mk_shard rank =
-    let chain = E.rank_chain d rank in
-    {
-      sh_rank = rank;
-      sh_nodes = chain;
-      sh_po_edges = max 0 (Array.length chain - 1);
-      sh_out = List.rev out.(rank);
-      sh_in = List.rev inc.(rank);
-    }
-  in
-  {
-    s_d = d;
-    s_m = m;
-    s_n_real = n_real;
-    s_n_total = n_total;
-    s_shards = Array.init nranks mk_shard;
-    s_colls = completed_colls;
-    s_sub_end = sub_end;
-  }
-
-(* Replay the shards into the flat [proto] in exactly the order the
-   sequential [assemble] emits edges — program order per rank, then
-   point-to-point in matcher order, then collective joins — so the merged
-   graph is structurally identical (same adjacency-list order, hence the
-   same Kahn queue and topological order) to the one-domain build. *)
-let proto_of_sharded (s : sharded) =
-  let d = s.s_d in
-  let n_real = s.s_n_real in
-  let n_total = s.s_n_total in
-  let succs_arr = Array.make n_total [] in
-  let preds_arr = Array.make n_total [] in
-  let edges = ref 0 in
-  let add_edge a b =
-    succs_arr.(a) <- b :: succs_arr.(a);
-    preds_arr.(b) <- a :: preds_arr.(b);
-    incr edges
-  in
-  let pos = Array.make n_total (-1) in
-  let ranks = Array.make n_total (-1) in
-  Array.iter
-    (fun sh ->
-      Array.iteri
-        (fun p idx ->
-          pos.(idx) <- p;
-          ranks.(idx) <- sh.sh_rank)
-        sh.sh_nodes)
-    s.s_shards;
-  Array.iter
-    (fun sh ->
-      for k = 0 to Array.length sh.sh_nodes - 2 do
-        add_edge sh.sh_nodes.(k) sh.sh_nodes.(k + 1)
-      done)
-    s.s_shards;
-  List.iter
-    (function
-      | Match_mpi.P2p { send; completion } -> add_edge send completion
-      | Match_mpi.Collective _ -> ())
-    s.s_m.Match_mpi.events;
-  List.iteri
-    (fun k parts ->
-      let join = n_real + k in
-      List.iter
-        (fun (init, completion) ->
-          let rank = E.rank d init in
-          let chain = E.rank_chain d rank in
-          add_edge chain.(s.s_sub_end.(init)) join;
-          match completion with
-          | Some c ->
-            let crank = E.rank d c in
-            let cchain = E.rank_chain d crank in
-            let last = s.s_sub_end.(c) in
-            if last + 1 < Array.length cchain then add_edge join cchain.(last + 1)
-          | None -> ())
-        parts)
-    s.s_colls;
-  {
-    a_n_real = n_real;
-    a_n_total = n_total;
-    a_succs = succs_arr;
-    a_preds = preds_arr;
-    a_pos = pos;
-    a_ranks = ranks;
-    a_edges = !edges;
-    a_colls = s.s_colls;
-  }
-
-let sharded_graph (s : sharded) =
-  let a = proto_of_sharded s in
-  match topo_of a with
-  | Some topo -> graph_of s.s_d a topo
-  | None -> raise (E.Malformed "happens-before graph contains a cycle")
-
 (* Strongly connected components (iterative Kosaraju). Returns the
    component id of every node; only components of size > 1 can carry a
    cycle (the edge set has no self loops). *)
@@ -511,9 +250,8 @@ let scc_of a =
   Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
   (comp, sizes)
 
-(* Cycle-dropping rebuild shared by [build_partial] (sequential proto)
-   and [sharded_graph_partial] (merged shard proto). *)
-let partial_of (d : E.t) (m : Match_mpi.result) a =
+let build_partial (d : E.t) (m : Match_mpi.result) =
+  let a = assemble d m in
   match topo_of a with
   | Some topo -> (graph_of d a topo, [])
   | None ->
@@ -548,12 +286,6 @@ let partial_of (d : E.t) (m : Match_mpi.result) a =
     | exception E.Malformed _ ->
       (* Cannot happen by the argument above; keep a hard floor anyway. *)
       (build d { m with Match_mpi.events = [] }, m.Match_mpi.events))
-
-let build_partial (d : E.t) (m : Match_mpi.result) =
-  partial_of d m (assemble d m)
-
-let sharded_graph_partial (s : sharded) =
-  partial_of s.s_d s.s_m (proto_of_sharded s)
 
 let to_dot ?(highlight = []) t =
   let buf = Buffer.create 1024 in

@@ -35,80 +35,6 @@ val build_partial : Estore.t -> Match_mpi.result -> t * Match_mpi.event list
     may be racy in reality — callers must downgrade "properly
     synchronized" verdicts that involve a dropped participant). *)
 
-(** {1 Sharded assembly}
-
-    Shared-nothing partition of the graph by rank (ROADMAP item 3, after
-    the IronFleet sharded-hash-table refinement sketch): each shard owns
-    its rank's program-order chain, program-order edges stay shard-local,
-    and every MPI match or collective edge becomes an explicit
-    {!transfer} edge between shards. Synthetic collective join nodes are
-    the boundary between shards: join [k] always has the stable id
-    [real_nodes + k] (k = position among completed collectives in
-    matcher order), independent of the domain count, so transfer
-    endpoints are comparable across builds and campaigns. *)
-
-type transfer = {
-  t_src : int;  (** source node (a chain node, or a boundary join) *)
-  t_dst : int;  (** destination node (a chain node, or a boundary join) *)
-  t_src_rank : int;  (** owning rank of [t_src], [-1] for a join *)
-  t_dst_rank : int;  (** owning rank of [t_dst], [-1] for a join *)
-}
-(** One cross-shard happens-before edge. A point-to-point match is a
-    single transfer (send shard → completion shard); a collective
-    contributes one transfer into its join per participant subtree and
-    one out of the join per completed participant. A match whose two
-    endpoints share a rank is still represented as a (degenerate)
-    transfer — shard-local edges are exclusively program order. *)
-
-type shard
-(** One rank's partition: its program-order chain plus the transfer
-    edges entering and leaving it. *)
-
-type sharded
-(** The full partition: every shard, the boundary join nodes, and the
-    matcher events needed to merge back into a flat {!t}. *)
-
-val build_sharded : ?domains:int -> Estore.t -> Match_mpi.result -> sharded
-(** Partition the graph, computing the per-rank work (chain positions
-    and the collective subtree-end walks) in parallel across [domains]
-    OCaml domains (default 1; clamped to the rank count). The result is
-    deterministic and independent of [domains] — the property tests and
-    the golden digest gate hold it byte-identical to the sequential
-    {!build}'s structure. *)
-
-val shards : sharded -> shard array
-(** One shard per rank, in rank order. *)
-
-val shard_rank : shard -> int
-
-val shard_nodes : shard -> int array
-(** The rank's record nodes in program order (global node ids). *)
-
-val shard_po_edges : shard -> int
-(** Count of shard-local program-order edges ([length shard_nodes - 1]). *)
-
-val shard_out : shard -> transfer list
-(** Transfer edges leaving this shard, in matcher order (point-to-point
-    first, then collective in-edges). *)
-
-val shard_in : shard -> transfer list
-(** Transfer edges entering this shard, in matcher order. *)
-
-val boundary_nodes : sharded -> int * int
-(** [(first_id, count)] of the boundary join nodes: ids
-    [first_id .. first_id + count - 1], with [first_id = real_nodes]. *)
-
-val sharded_graph : sharded -> t
-(** Merge the shards into a flat graph. The merge replays edges in the
-    sequential assembly order, so the result is structurally identical
-    to {!build} on the same inputs — same adjacency-list order, same
-    topological order, same everything downstream. Raises
-    [Estore.Malformed] on a cycle, exactly like {!build}. *)
-
-val sharded_graph_partial : sharded -> t * Match_mpi.event list
-(** {!build_partial} over the merged shards: identical cycle location
-    and event dropping, never raises. *)
-
 val size : t -> int
 (** Total node count (records + synthetic). *)
 

@@ -83,8 +83,8 @@ let timed f =
    accounting. [t_read] and [n_decoded] describe the read stage that
    produced [d] — list ingest ({!prepare}) and fused streaming file
    ingest ({!prepare_file}) both land here. *)
-let prepare_store ?engine ?shard_domains ~mode ~upstream ~partial ?budget
-    ~sweep_domains ~t_read ~n_decoded d =
+let prepare_store ?engine ~mode ~upstream ~partial ?budget ~t_read
+    ~n_decoded d =
   let lenient = mode = D.Lenient in
   let spend stage n =
     match budget with
@@ -92,40 +92,21 @@ let prepare_store ?engine ?shard_domains ~mode ~upstream ~partial ?budget
     | None -> ()
   in
   spend "decode" n_decoded;
-  let t_conflicts, groups =
-    timed (fun () -> Conflict.detect ~domains:sweep_domains d)
-  in
+  let t_conflicts, groups = timed (fun () -> Conflict.detect d) in
   let conflicts = Conflict.distinct_pairs groups in
   spend "conflicts" conflicts;
   let t_graph, (matching, graph, graph_fallback, dropped) =
     timed (fun () ->
         let m = Match_mpi.run ~mode d in
-        (* The sharded assembly merges back into a graph structurally
-           identical to the monolithic build (the golden gate holds the
-           two byte-identical), so picking it changes walls, not verdicts. *)
-        let build_full () =
-          match shard_domains with
-          | Some k ->
-            M.incr "graph/sharded_builds";
-            Hb_graph.sharded_graph (Hb_graph.build_sharded ~domains:k d m)
-          | None -> Hb_graph.build d m
-        in
-        let build_part () =
-          match shard_domains with
-          | Some k ->
-            M.incr "graph/sharded_builds";
-            Hb_graph.sharded_graph_partial (Hb_graph.build_sharded ~domains:k d m)
-          | None -> Hb_graph.build_partial d m
-        in
         if partial then begin
           (* Partial matching: keep going past unmatched calls, and if the
              matched events are mutually inconsistent drop only the events
              on a cycle instead of every MPI edge. *)
-          let g, dropped = build_part () in
+          let g, dropped = Hb_graph.build_partial d m in
           (m, g, false, dropped)
         end
         else
-          match build_full () with
+          match Hb_graph.build d m with
           | g -> (m, g, false, [])
           | exception Estore.Malformed _ when lenient ->
             (* The salvaged MPI events are inconsistent (e.g. a cycle from a
@@ -264,25 +245,21 @@ let prepare_store ?engine ?shard_domains ~mode ~upstream ~partial ?budget
     p_t_engine = t_engine;
   }
 
-let prepare ?engine ?shard_domains ?(mode = D.Strict) ?(upstream = [])
-    ?(partial = false) ?budget ?(sweep_domains = 1) ~nranks records =
+let prepare ?engine ?(mode = D.Strict) ?(upstream = []) ?(partial = false)
+    ?budget ~nranks records =
   let t_read, d = timed (fun () -> Estore.of_records ~mode ~nranks records) in
-  prepare_store ?engine ?shard_domains ~mode ~upstream ~partial ?budget
-    ~sweep_domains ~t_read ~n_decoded:(List.length records) d
+  prepare_store ?engine ~mode ~upstream ~partial ?budget ~t_read
+    ~n_decoded:(List.length records) d
 
-let prepare_file ?engine ?shard_domains ?(mode = D.Strict) ?(upstream = [])
-    ?(partial = false) ?budget ?(sweep_domains = 1) path =
+let prepare_file ?engine ?(mode = D.Strict) ?(upstream = []) ?(partial = false)
+    ?budget path =
   (* Fused ingest: the trace streams straight from disk into Estore
      columns via [Codec.fold_records] (text or binary, auto-detected) —
      no [Record.t list] is ever materialized, so peak memory is bounded
-     by the store itself, not the trace length. In strict mode the
-     decode itself fans out across [shard_domains] domains when the
-     binary footer index makes rank segments independently decodable. *)
-  let t_read, d =
-    timed (fun () -> Estore.of_file ?domains:shard_domains ~mode path)
-  in
-  prepare_store ?engine ?shard_domains ~mode ~upstream ~partial ?budget
-    ~sweep_domains ~t_read ~n_decoded:(Estore.length d) d
+     by the store itself, not the trace length. *)
+  let t_read, d = timed (fun () -> Estore.of_file ~mode path) in
+  prepare_store ?engine ~mode ~upstream ~partial ?budget ~t_read
+    ~n_decoded:(Estore.length d) d
 
 let verify_prepared ?(pruning = true) ~model p =
   let queries_before = Reach.query_count p.p_reach in
@@ -328,41 +305,28 @@ let verify_prepared ?(pruning = true) ~model p =
     degradation = p.p_degradation;
   }
 
-let verify ?engine ?shard_domains ?(pruning = true) ?(mode = D.Strict)
-    ?(upstream = []) ?partial ?budget ?sweep_domains ~model ~nranks records =
-  let p =
-    prepare ?engine ?shard_domains ~mode ~upstream ?partial ?budget
-      ?sweep_domains ~nranks records
-  in
+let verify ?engine ?(pruning = true) ?(mode = D.Strict) ?(upstream = [])
+    ?partial ?budget ~model ~nranks records =
+  let p = prepare ?engine ~mode ~upstream ?partial ?budget ~nranks records in
   verify_prepared ~pruning ~model p
 
 let verify_all_models ?engine ?(models = Model.builtin) ~nranks records =
   List.map (fun model -> (model, verify ?engine ~model ~nranks records)) models
 
-let verify_shared ?engine ?shard_domains ?(pruning = true) ?(mode = D.Strict)
-    ?(upstream = []) ?partial ?budget ?sweep_domains ?(models = Model.builtin)
-    ~nranks records =
-  let p =
-    prepare ?engine ?shard_domains ~mode ~upstream ?partial ?budget
-      ?sweep_domains ~nranks records
-  in
+let verify_shared ?engine ?(pruning = true) ?(mode = D.Strict)
+    ?(upstream = []) ?partial ?budget ?(models = Model.builtin) ~nranks
+    records =
+  let p = prepare ?engine ~mode ~upstream ?partial ?budget ~nranks records in
   List.map (fun model -> (model, verify_prepared ~pruning ~model p)) models
 
-let verify_file ?engine ?shard_domains ?(pruning = true) ?(mode = D.Strict)
-    ?(upstream = []) ?partial ?budget ?sweep_domains ~model path =
-  let p =
-    prepare_file ?engine ?shard_domains ~mode ~upstream ?partial ?budget
-      ?sweep_domains path
-  in
+let verify_file ?engine ?(pruning = true) ?(mode = D.Strict) ?(upstream = [])
+    ?partial ?budget ~model path =
+  let p = prepare_file ?engine ~mode ~upstream ?partial ?budget path in
   verify_prepared ~pruning ~model p
 
-let verify_shared_file ?engine ?shard_domains ?(pruning = true)
-    ?(mode = D.Strict) ?(upstream = []) ?partial ?budget ?sweep_domains
-    ?(models = Model.builtin) path =
-  let p =
-    prepare_file ?engine ?shard_domains ~mode ~upstream ?partial ?budget
-      ?sweep_domains path
-  in
+let verify_shared_file ?engine ?(pruning = true) ?(mode = D.Strict)
+    ?(upstream = []) ?partial ?budget ?(models = Model.builtin) path =
+  let p = prepare_file ?engine ~mode ~upstream ?partial ?budget path in
   List.map (fun model -> (model, verify_prepared ~pruning ~model p)) models
 
 let is_properly_synchronized o = o.races = [] && o.unmatched = []

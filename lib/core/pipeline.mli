@@ -97,12 +97,10 @@ type prepared
 
 val prepare :
   ?engine:Reach.engine ->
-  ?shard_domains:int ->
   ?mode:Recorder.Diagnostic.mode ->
   ?upstream:Recorder.Diagnostic.t list ->
   ?partial:bool ->
   ?budget:Vio_util.Budget.t ->
-  ?sweep_domains:int ->
   nranks:int ->
   Recorder.Record.t list ->
   prepared
@@ -123,28 +121,14 @@ val prepare :
     (decode: records; conflicts: pairs; graph: edges; engine: nodes;
     verify: properly-synchronized checks) and the pipeline aborts with
     {!Vio_util.Budget.Exhausted} when it runs out — the supervisor's
-    defense against pathological traces.
-
-    [sweep_domains] (default 1) shards conflict detection's interval sweep
-    across that many domains ({!Conflict.detect}); verdicts are identical
-    for every value.
-
-    [shard_domains], when given, builds the happens-before graph through
-    the shared-nothing sharded assembly ({!Hb_graph.build_sharded} across
-    that many domains, merged by {!Hb_graph.sharded_graph}) instead of
-    the monolithic build — and, on the file entry points, fans the binary
-    v2 segment decode out across the same domain count
-    ({!Estore.of_file}). Structurally identical output, so verdicts are
-    unchanged for every value (the golden-digest gate locks this). *)
+    defense against pathological traces. *)
 
 val prepare_file :
   ?engine:Reach.engine ->
-  ?shard_domains:int ->
   ?mode:Recorder.Diagnostic.mode ->
   ?upstream:Recorder.Diagnostic.t list ->
   ?partial:bool ->
   ?budget:Vio_util.Budget.t ->
-  ?sweep_domains:int ->
   string ->
   prepared
 (** {!prepare}, fused with decoding: the trace file streams straight into
@@ -169,13 +153,11 @@ val verify_prepared :
 
 val verify :
   ?engine:Reach.engine ->
-  ?shard_domains:int ->
   ?pruning:bool ->
   ?mode:Recorder.Diagnostic.mode ->
   ?upstream:Recorder.Diagnostic.t list ->
   ?partial:bool ->
   ?budget:Vio_util.Budget.t ->
-  ?sweep_domains:int ->
   model:Model.t ->
   nranks:int ->
   Recorder.Record.t list ->
@@ -206,13 +188,11 @@ val verify_all_models :
 
 val verify_shared :
   ?engine:Reach.engine ->
-  ?shard_domains:int ->
   ?pruning:bool ->
   ?mode:Recorder.Diagnostic.mode ->
   ?upstream:Recorder.Diagnostic.t list ->
   ?partial:bool ->
   ?budget:Vio_util.Budget.t ->
-  ?sweep_domains:int ->
   ?models:Model.t list ->
   nranks:int ->
   Recorder.Record.t list ->
@@ -223,13 +203,11 @@ val verify_shared :
 
 val verify_file :
   ?engine:Reach.engine ->
-  ?shard_domains:int ->
   ?pruning:bool ->
   ?mode:Recorder.Diagnostic.mode ->
   ?upstream:Recorder.Diagnostic.t list ->
   ?partial:bool ->
   ?budget:Vio_util.Budget.t ->
-  ?sweep_domains:int ->
   model:Model.t ->
   string ->
   outcome
@@ -237,13 +215,11 @@ val verify_file :
 
 val verify_shared_file :
   ?engine:Reach.engine ->
-  ?shard_domains:int ->
   ?pruning:bool ->
   ?mode:Recorder.Diagnostic.mode ->
   ?upstream:Recorder.Diagnostic.t list ->
   ?partial:bool ->
   ?budget:Vio_util.Budget.t ->
-  ?sweep_domains:int ->
   ?models:Model.t list ->
   string ->
   (Model.t * outcome) list

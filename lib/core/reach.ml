@@ -24,7 +24,7 @@ type state =
   | Memo of (int, B.t) Hashtbl.t
   | Closure of B.t array  (* node -> reachable set, including itself *)
   | Fly
-  | Interval of int array array  (* node -> per-shard interval start *)
+  | Interval of int array array  (* node -> per-rank interval start *)
 
 type t = {
   eng : engine;
@@ -83,21 +83,19 @@ let build_closure g =
   done;
   Closure sets
 
-(* Interval labels over the per-shard topological order (the sharded HB
-   graph's shard = one rank's program-order chain, whose chain position
-   IS its topological order). For every node [v] and shard [s],
+(* Interval labels over each rank's program-order chain, whose chain
+   position IS its topological order. For every node [v] and rank [s],
    [lo.(v).(s)] is the start of the suffix interval
-   [lo.(v).(s), chain_len_s) of shard-s positions reachable from [v] —
+   [lo.(v).(s), chain_len_s) of rank-s positions reachable from [v] —
    the reachable set within a totally ordered chain is always a suffix,
    so one integer captures it exactly. Built in a single reverse
    topological sweep: a node inherits the componentwise minimum of its
-   successors' labels, then caps its own shard's entry at its own chain
-   position. Propagation crosses a shard boundary only along transfer
-   edges (MPI match and collective join edges) — the stitching through
-   the transfer-edge frontier the sharded build makes explicit.
+   successors' labels, then caps its own rank's entry at its own chain
+   position. Propagation leaves a rank's chain only along MPI match and
+   collective join edges.
 
-   Intra-shard queries degenerate to a chain-position comparison;
-   cross-shard queries are one array lookup plus the same comparison —
+   Same-rank queries degenerate to a chain-position comparison;
+   cross-rank queries are one array lookup plus the same comparison —
    O(1) either way. Unlike the vector-clock engine (its forward dual),
    the sweep also labels synthetic join nodes, so boundary-node sources
    cost nothing extra. *)
@@ -205,8 +203,8 @@ let concurrent t a b = (not (reaches t a b)) && not (reaches t b a)
 let recommend ~nranks ~graph_nodes ~conflict_pairs =
   if conflict_pairs = 0 then On_the_fly
   else if nranks >= 64 then
-    (* High rank counts are what the sharded build and interval index
-       are for: per-shard suffix intervals keep queries O(1) without the
+    (* High rank counts are what the interval index is for: per-rank
+       suffix intervals keep queries O(1) without the
        synthetic-source restriction the vector-clock engine carries. *)
     Interval_index
   else if graph_nodes <= 4096 && conflict_pairs > graph_nodes then

@@ -1,5 +1,5 @@
 (** Happens-before queries — the five interchangeable engines (the four
-    of §IV-D plus the sharded-scale interval index of PR 8).
+    of §IV-D plus an interval index for high rank counts).
 
     - {!Vector_clock}: topologically propagate per-rank clocks once
       (O(V+E)), then answer queries in O(1).
@@ -12,15 +12,14 @@
       search pruned by the global logical timestamps (edges never go
       backwards in time), mirroring the paper's algorithm that matches its
       way forward through the trace at verification time.
-    - {!Interval_index}: per-shard suffix intervals over each rank
+    - {!Interval_index}: per-rank suffix intervals over each rank
       chain's topological (= program) order, built in one reverse
       topological sweep — the backward dual of {!Vector_clock}. A node's
       reachable set within a rank chain is always a suffix, so one
-      integer per (node, shard) answers intra-shard queries by position
-      comparison and cross-shard queries by a single array lookup, the
-      propagation having already stitched labels through the
-      transfer-edge frontier at collective boundaries
-      ({!Hb_graph.build_sharded}). Built for high rank counts.
+      integer per (node, rank) answers same-rank queries by position
+      comparison and cross-rank queries by a single array lookup, the
+      propagation having already carried labels across the MPI match
+      and collective join edges. Built for high rank counts.
 
     All five implement the same relation — [reaches t a b] iff a path from
     [a] to [b] exists (reflexively: [reaches t a a = true]) — and the test
@@ -80,6 +79,6 @@ val memo_stats : t -> int * int
 val recommend : nranks:int -> graph_nodes:int -> conflict_pairs:int -> engine
 (** The dynamic selection heuristic the paper sketches as future work:
     with no conflicts to check, skip all precomputation ({!On_the_fly});
-    at 64+ ranks, the sharded-scale {!Interval_index}; for small graphs
+    at 64+ ranks, {!Interval_index}; for small graphs
     queried heavily, precompute everything ({!Transitive_closure});
     otherwise {!Vector_clock}. *)

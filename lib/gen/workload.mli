@@ -129,7 +129,7 @@ val generate :
     happens — historical seeds stay byte-identical.
 
     [nranks] overrides the default 2–4 rank draw (values below 2 are
-    ignored) — the sharded-graph campaigns run 64–256 ranks this way.
+    ignored) — the interval-index campaign runs 64–256 ranks this way.
     The override leaves the seed's random stream untouched (the default
     draw is still consumed), so [generate ~seed ()] output never depends
     on whether other callers override. Above 4 ranks the generator also

@@ -1286,109 +1286,3 @@ let of_file_ext ?mode path =
 let of_file path =
   let d = of_file_ext ~mode:Diagnostic.Strict path in
   (d.nranks, d.records)
-
-(* ---------------------------------------------------------------- *)
-(* Segment plan: parallel per-rank decoding of binary v2 (§3.3)       *)
-(* ---------------------------------------------------------------- *)
-
-(* The footer index makes every rank segment independently decodable; a
-   plan is the shared read-only state (whole-file buffer, pool, offsets)
-   from which any number of domains can each decode disjoint segments.
-   Strict-only: the plan validates the container skeleton and the body
-   CRC up front on the planning domain, so segment workers touch only
-   immutable bytes and either emit records or raise [Malformed]. *)
-type plan = {
-  pl_buf : Bytes.t;
-  pl_nranks : int;
-  pl_pool : string array;
-  pl_offsets : int array;
-  pl_counts : int array;
-  pl_footer_start : int;
-}
-
-let plan_nranks p = p.pl_nranks
-
-let plan_count p rank = p.pl_counts.(rank)
-
-let plan_of_string s =
-  (match detect s with
-  | Binary -> ()
-  | Text ->
-    raise
-      (Malformed
-         {
-           line = 0;
-           byte = 0;
-           record = -1;
-           reason =
-             "segment plans require a binary v2 trace — text v1 has no \
-              rank index (format.md §3.5)";
-         }));
-  let total = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let cur = cur_of_bytes b in
-  let _flags, nranks = read_bin_header cur in
-  let header_end = cur.bc_pos in
-  let footer_start =
-    read_footer_locator ~total (cur_of_bytes ~base:0 ~pos:(total - 16) b)
-  in
-  let ft = read_footer ~nranks ~total (cur_of_bytes ~pos:footer_start b) in
-  if ft.ft_pool_offset <> header_end then
-    bin_error cur
-      "pool offset %d in the footer disagrees with the header end %d \
-       (format.md §3.5)"
-      ft.ft_pool_offset header_end;
-  let crc =
-    Vio_util.Crc32.finish
-      (Vio_util.Crc32.update Vio_util.Crc32.init b ~pos:0 ~len:footer_start)
-  in
-  if crc <> ft.ft_crc then
-    raise
-      (Malformed
-         {
-           line = 0;
-           byte = footer_start;
-           record = -1;
-           reason =
-             Printf.sprintf
-               "body CRC-32 is %08x, footer says %08x (format.md §3.5)" crc
-               ft.ft_crc;
-         });
-  let pool = read_pool (cur_of_bytes ~pos:ft.ft_pool_offset b) in
-  {
-    pl_buf = b;
-    pl_nranks = nranks;
-    pl_pool = pool;
-    pl_offsets = ft.ft_offsets;
-    pl_counts = ft.ft_counts;
-    pl_footer_start = footer_start;
-  }
-
-let plan_file path = plan_of_string (read_file path)
-
-let decode_plan_segment p ~rank ~emit =
-  if rank < 0 || rank >= p.pl_nranks then
-    invalid_arg "Codec.decode_plan_segment: rank out of range";
-  let total = Bytes.length p.pl_buf in
-  let seg_end =
-    if rank + 1 < p.pl_nranks then p.pl_offsets.(rank + 1)
-    else p.pl_footer_start
-  in
-  if p.pl_offsets.(rank) > seg_end || seg_end > total then
-    raise
-      (Malformed
-         {
-           line = 0;
-           byte = p.pl_offsets.(rank);
-           record = -1;
-           reason =
-             Printf.sprintf
-               "rank %d segment bounds are inconsistent (format.md §3.5)" rank;
-         });
-  let cur =
-    cur_of_bytes ~base:0 ~pos:p.pl_offsets.(rank) ~len:seg_end p.pl_buf
-  in
-  decode_segment ~mode:Diagnostic.Strict ~pool:p.pl_pool ~rank
-    ~expected:(Some p.pl_counts.(rank))
-    ~diag:(fun _ -> ())
-    ~emit cur

@@ -139,40 +139,6 @@ val fold_records :
     offset, and record number on text input) exactly as {!decode} does;
     records emitted before the failure have already been folded. *)
 
-(** {1 Segment plans — parallel per-rank decoding}
-
-    Binary v2 stores one contiguous record segment per rank and a footer
-    index of their offsets (docs/format.md §3.3, §3.5), so rank segments
-    decode independently. A {!plan} captures the shared read-only state —
-    the whole-file buffer, string pool and segment table — after
-    validating the container skeleton and body CRC once; any number of
-    domains may then call {!decode_plan_segment} concurrently on
-    disjoint ranks. Strict-mode only (lenient salvage is inherently
-    sequential); {!Estore.of_file} uses this for its parallel path. *)
-
-type plan
-
-val plan_file : string -> plan
-(** Read the file, validate header, footer index, pool and body CRC-32.
-    @raise Malformed on text input or any container damage (strict
-    semantics — a plan never decodes a byte it cannot vouch for).
-    @raise Sys_error if the file cannot be read. *)
-
-val plan_of_string : string -> plan
-(** {!plan_file} over already-loaded bytes. *)
-
-val plan_nranks : plan -> int
-
-val plan_count : plan -> int -> int
-(** Footer record count for one rank (the segment's expected length). *)
-
-val decode_plan_segment : plan -> rank:int -> emit:(Record.t -> unit) -> int
-(** Decode one rank's segment, calling [emit] on each record in seq
-    order; returns the record count. Touches only the plan's immutable
-    state, so concurrent calls on distinct ranks are safe.
-    @raise Malformed on structural damage (strict mode).
-    @raise Invalid_argument if [rank] is outside [\[0, nranks)]. *)
-
 val read_file : string -> string
 (** Raw file contents (exposed so callers can inject faults into an
     encoded trace before decoding it). *)

@@ -9,7 +9,7 @@ type config = {
   quiet : bool;
 }
 
-let default = { seeds = 7; base_seed = 100; root = None; quiet = false }
+let default = { seeds = 9; base_seed = 100; root = None; quiet = false }
 
 type report = {
   t_scenarios : int;
@@ -102,12 +102,6 @@ let codec_path ~mode path () =
        ~upstream:dec.Recorder.Codec.diagnostics ~models:[ m0 ]
        ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records)
 
-(* Parallel segment decode + sharded graph assembly — the paths that own
-   the estore.segment and graph.shard sites. *)
-let sharded_path path () =
-  shared_digest
-    (Verifyio.Pipeline.verify_shared_file ~shard_domains:3 ~models:[ m0 ] path)
-
 let batch_jobs ~bin ~txt =
   List.init 3 (fun i ->
       Verifyio.Batch.job_of_file ~models:[ m0 ]
@@ -147,7 +141,7 @@ type klass = Exact | Documented | No_crash
 let fallback_total () =
   M.find_counter (M.snapshot ()) "supervisor/fallbacks"
 
-let scenario st ~name ~klass ?(expect_fallback = false) ~baseline ~spec run =
+let scenario st ~name ~klass ~baseline ~spec run =
   st.n <- st.n + 1;
   F.clear ();
   (match F.configure spec with
@@ -166,10 +160,7 @@ let scenario st ~name ~klass ?(expect_fallback = false) ~baseline ~spec run =
         violation st name "expected full absorption, got %s"
           (Printexc.to_string e)
       else st.faulted <- st.faulted + 1);
-    let moved = fallback_total () - fb0 in
-    st.fallbacks <- st.fallbacks + moved;
-    if expect_fallback && moved = 0 then
-      violation st name "expected a supervisor fallback; counter did not move"));
+    st.fallbacks <- st.fallbacks + (fallback_total () - fb0)));
   F.clear ()
 
 (* ---- the serve protocol scenarios ------------------------------------- *)
@@ -380,13 +371,12 @@ let run cfg =
     let base_bin_strict = codec_path ~mode:strict bin () in
     let base_bin_lenient = codec_path ~mode:lenient bin () in
     let base_txt_strict = codec_path ~mode:strict txt () in
-    let base_shard = sharded_path bin () in
     let base_batch = batch_path ~bin ~txt () in
     let base_isolated = isolated_path ~bin ~txt () in
-    let sc ~klass ?expect_fallback ~baseline ~path spec run =
+    let sc ~klass ~baseline ~path spec run =
       scenario st
         ~name:(Printf.sprintf "%s/%s/%s" tag path spec)
-        ~klass ?expect_fallback ~baseline ~spec run
+        ~klass ~baseline ~spec run
     in
     (* codec.read over binary v2, strict: data-corrupting policies must
        trip the CRC/footer validation, never decode silently. *)
@@ -422,28 +412,6 @@ let run cfg =
       "codec.read=fail" txt_strict;
     sc ~klass:Exact ~baseline:base_txt_strict ~path:"text-strict"
       "codec.read=delay:2" txt_strict;
-    (* estore.segment: a dead decode worker degrades to the sequential
-       retry — verdicts must be exactly the fault-free ones. *)
-    let shard = sharded_path bin in
-    sc ~klass:Exact ~expect_fallback:true ~baseline:base_shard
-      ~path:"estore" "estore.segment=fail" shard;
-    sc ~klass:Exact ~expect_fallback:true ~baseline:base_shard
-      ~path:"estore" "estore.segment=fail@2" shard;
-    sc ~klass:Exact ~baseline:base_shard ~path:"estore"
-      (Printf.sprintf "estore.segment=prob:0.7:%d" (9 + seed))
-      shard;
-    sc ~klass:Exact ~baseline:base_shard ~path:"estore"
-      "estore.segment=delay:1" shard;
-    (* graph.shard: same contract for the sharded assembly phase. *)
-    sc ~klass:Exact ~expect_fallback:true ~baseline:base_shard
-      ~path:"graph" "graph.shard=fail" shard;
-    sc ~klass:Exact ~expect_fallback:true ~baseline:base_shard
-      ~path:"graph" "graph.shard=fail@2" shard;
-    sc ~klass:Exact ~baseline:base_shard ~path:"graph"
-      (Printf.sprintf "graph.shard=prob:0.5:%d" (3 + seed))
-      shard;
-    sc ~klass:Exact ~baseline:base_shard ~path:"graph" "graph.shard=delay:1"
-      shard;
     (* batch.worker: Batch.run surfaces the injected error (documented);
        Batch.run_isolated's retry loop absorbs it. *)
     sc ~klass:Documented ~baseline:base_batch ~path:"batch"

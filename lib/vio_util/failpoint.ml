@@ -17,8 +17,6 @@ let () =
 let known_sites =
   [
     ("codec.read", "whole-trace file read in the codec (short read, bitflip)");
-    ("estore.segment", "per-rank segment decode in Estore.of_file workers");
-    ("graph.shard", "per-rank shard assembly in Hb_graph.build_sharded workers");
     ("batch.worker", "entry of every batch job execution");
     ("fsio.atomic_write", "start of a stage-then-rename write");
     ("fsio.fsync", "every durability fsync (staging files, journal appends)");

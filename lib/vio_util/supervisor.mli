@@ -1,7 +1,8 @@
 (** Typed supervision of spawned domains.
 
-    The parallel machinery (sharded decode, sharded graph assembly,
-    batch workers) runs worker bodies on spawned domains. Before this
+    The batch engine ([Verifyio.Batch]) is the one parallel scheme: it
+    runs its worker bodies on spawned domains, and nothing else spawns
+    any. Before this
     module, an exception escaping a worker propagated raw through
     [Domain.join] and aborted the whole process with a backtrace — the
     one thing a verifier must never do. {!run_workers} is the drop-in
@@ -10,11 +11,11 @@
     value instead of a crash. Callers then apply their documented
     degradation — retry the work sequentially, quarantine the job — and
     announce it through {!note_fallback}, which feeds the
-    [supervisor/fallbacks] metrics counter the torture campaign asserts
-    on. *)
+    [supervisor/fallbacks] metrics counter the torture campaign
+    tallies. *)
 
 type failure = {
-  f_tag : string;  (** subsystem tag, e.g. ["graph.shard"] *)
+  f_tag : string;  (** subsystem tag, e.g. ["batch.worker"] *)
   f_index : int;  (** worker index (0 = the calling domain) *)
   f_exn : string;  (** [Printexc.to_string] of what escaped *)
 }

@@ -1,38 +1,18 @@
-(* Sharded-graph differential campaign (PR 8, @shard-smoke): 200 seeds
-   of generated workloads at 64-256 ranks, each checked two ways —
+(* Interval-index differential campaign (@shard-smoke): 200 seeds of
+   generated workloads at 64-256 ranks, the scale at which
+   [Reach.recommend] picks the interval-index engine. Each seed runs
+   [Pipeline.verify_shared] twice over the same happens-before graph —
+   once with the interval-index engine, once with the vector-clock
+   engine — and the two must produce the same verdicts, races,
+   inventory and stats for every builtin model.
 
-   - structural: [Hb_graph.build_sharded] (1-4 domains) merged back must
-     be node-for-node, edge-for-edge identical to the sequential build,
-     including topological order;
-   - semantic: [Pipeline.verify_shared] with the interval-index engine
-     over the sharded build must produce the same verdicts, races,
-     inventory and stats as the vector-clock engine over the monolithic
-     build, for every builtin model.
-
-   Exits 1 on any divergence, printing the offending seed/ranks/domains
+   Exits 1 on any divergence, printing the offending seed and rank count
    so the failure is reproducible with [Viogen.Workload.generate]. *)
 
 module V = Verifyio
 module P = Verifyio.Pipeline
 
 let nranks_grid = [| 64; 96; 128; 192; 256 |]
-
-let same_graph g1 g2 =
-  let n = V.Hb_graph.size g1 in
-  V.Hb_graph.size g2 = n
-  && V.Hb_graph.real_nodes g1 = V.Hb_graph.real_nodes g2
-  && V.Hb_graph.edge_count g1 = V.Hb_graph.edge_count g2
-  && V.Hb_graph.topo_order g1 = V.Hb_graph.topo_order g2
-  &&
-  let ok = ref true in
-  for v = 0 to n - 1 do
-    if
-      V.Hb_graph.succs g1 v <> V.Hb_graph.succs g2 v
-      || V.Hb_graph.preds g1 v <> V.Hb_graph.preds g2 v
-      || V.Hb_graph.node_rank g1 v <> V.Hb_graph.node_rank g2 v
-    then ok := false
-  done;
-  !ok
 
 (* Everything semantically meaningful in an outcome — deliberately not
    the timings, and not [engine_used], which differs by construction. *)
@@ -54,47 +34,32 @@ let () =
   for i = 0 to seeds - 1 do
     let seed = 9000 + i in
     let nranks = nranks_grid.(i mod Array.length nranks_grid) in
-    let domains = 1 + (i mod 4) in
     let p =
       Viogen.Workload.generate ~nranks ~max_steps:(16 + (i mod 9)) ~seed ()
     in
     let records = Viogen.Workload.run p in
     let nranks = p.Viogen.Workload.nranks in
-    let d = V.Estore.of_records ~nranks records in
-    let m = V.Match_mpi.run d in
-    let g_seq = V.Hb_graph.build d m in
-    let sharded = V.Hb_graph.build_sharded ~domains d m in
-    let g_sh = V.Hb_graph.sharded_graph sharded in
-    if not (same_graph g_seq g_sh) then begin
-      incr failures;
-      Printf.printf
-        "DIVERGENCE seed %d (%d ranks, %d domains): sharded graph differs \
-         structurally\n"
-        seed nranks domains
-    end;
-    let base =
-      P.verify_shared ~engine:V.Reach.Vector_clock ~nranks records
-    in
-    let ii =
-      P.verify_shared ~engine:V.Reach.Interval_index ~shard_domains:domains
-        ~nranks records
-    in
+    let base = P.verify_shared ~engine:V.Reach.Vector_clock ~nranks records in
+    let ii = P.verify_shared ~engine:V.Reach.Interval_index ~nranks records in
     if List.map key base <> List.map key ii then begin
       incr failures;
       Printf.printf
-        "DIVERGENCE seed %d (%d ranks, %d domains): interval-index verdicts \
-         differ from vector-clock\n"
-        seed nranks domains
+        "DIVERGENCE seed %d (%d ranks): interval-index verdicts differ from \
+         vector-clock\n"
+        seed nranks
     end;
     if (i + 1) mod 50 = 0 then
-      Printf.printf "shard campaign: %d/%d seeds done\n%!" (i + 1) seeds
+      Printf.printf "interval-index campaign: %d/%d seeds done\n%!" (i + 1)
+        seeds
   done;
   if !failures = 0 then begin
-    Printf.printf "shard campaign: %d seeds, 64-256 ranks, zero divergences\n"
+    Printf.printf
+      "interval-index campaign: %d seeds, 64-256 ranks, zero divergences\n"
       seeds;
     exit 0
   end
   else begin
-    Printf.printf "shard campaign: %d seeds, %d DIVERGENCES\n" seeds !failures;
+    Printf.printf "interval-index campaign: %d seeds, %d DIVERGENCES\n" seeds
+      !failures;
     exit 1
   end

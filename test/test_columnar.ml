@@ -16,9 +16,9 @@
    engine selection, the sequential per-model baseline, the batch runner
    at 1 and 2 domains, lenient partial matching, and two step budgets
    (one that exhausts, one that completes) — the full matrix the issue
-   names. The PR 8 interval-index engine and sharded graph build get no
-   golden lines of their own; each replay asserts their verdict lines
-   byte-equal the vector-clock lines the digests already lock.
+   names. The interval-index engine gets no golden lines of its own;
+   each replay asserts its verdict lines byte-equal the vector-clock
+   lines the digests already lock.
 
    By default the check replays the corpus plus the first 60 seeds (keeps
    [dune runtest] fast); set [COLUMNAR_SEEDS=300] to replay the whole
@@ -89,30 +89,25 @@ let subject_lines ~lenient ~nranks ~upstream records =
   let add cfg lines = out := !out @ List.map (fun s -> cfg ^ " | " ^ s) lines in
   (* The golden file was recorded when [all_engines] had four entries;
      iterating [legacy_engines] keeps its line counts pinned. The fifth
-     engine (and the sharded graph build) are held to the same digests
-     by the parity check below instead of new golden lines. *)
+     engine is held to the same digests by the parity check below
+     instead of new golden lines. *)
   List.iter
     (fun e ->
       add
         ("shared:" ^ V.Reach.engine_name e)
         (List.map outcome_line (shared ~engine:e ())))
     V.Reach.legacy_engines;
-  (* PR 8 parity (not part of the golden line set): interval-index
-     verdicts, computed over the sharded graph build and — for the
-     corpus's binary traces — the parallel segment decode, must be
-     byte-identical to the vector-clock lines the digest gate just
-     locked. Transitively that holds them identical to
+  (* Interval-index parity (not part of the golden line set): its
+     verdicts must be byte-identical to the vector-clock lines the digest
+     gate just locked. Transitively that holds them identical to
      golden_pr5.digest. *)
   let vc_lines = List.map outcome_line (shared ~engine:V.Reach.Vector_clock ()) in
   let ii_lines =
-    List.map outcome_line
-      (P.verify_shared ~engine:V.Reach.Interval_index ~shard_domains:2 ~mode
-         ~upstream ~nranks records)
+    List.map outcome_line (shared ~engine:V.Reach.Interval_index ())
   in
   if ii_lines <> vc_lines then
     failwith
-      ("columnar gate: interval-index + sharded build diverges from \
-        vector-clock:\n  vc: "
+      ("columnar gate: interval-index diverges from vector-clock:\n  vc: "
       ^ String.concat "\n      " vc_lines
       ^ "\n  ii: "
       ^ String.concat "\n      " ii_lines);

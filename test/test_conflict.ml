@@ -232,43 +232,6 @@ let prop_sweep_matches_brute_force =
       in
       pairs_of_groups groups = brute_force_pairs d)
 
-(* The sharded sweep must be byte-identical to the single-domain one, at
-   every domain count, including more domains than files. *)
-let prop_sharded_sweep_deterministic =
-  QCheck2.Test.make ~name:"sharded sweep = single-domain sweep" ~count:30
-    QCheck2.Gen.(
-      pair (int_range 1 10000)
-        (pair (int_range 2 4) (int_range 3 15)))
-    (fun (seed, (nranks, ops_per_rank)) ->
-      let d, base =
-        groups_of ~nranks (fun ctx fs ->
-            let rank = ctx.E.rank in
-            (* Several files so the sharding has real tasks to pull. *)
-            let fds =
-              List.map
-                (fun k ->
-                  F.openf fs ~rank ~flags:[ F.O_CREAT; F.O_RDWR ]
-                    (Printf.sprintf "/s%d" k))
-                [ 0; 1; 2 ]
-            in
-            let state = ref (seed + (rank * 977)) in
-            let next () =
-              state := ((!state * 75) + 74) mod 65537;
-              !state
-            in
-            for _ = 1 to ops_per_rank do
-              let fd = List.nth fds (next () mod 3) in
-              let off = next () mod 40 and len = 1 + (next () mod 6) in
-              if next () mod 2 = 0 then
-                ignore (F.pwrite fs ~rank fd ~off (Bytes.make len 'p'))
-              else ignore (F.pread fs ~rank fd ~off ~len)
-            done;
-            List.iter (fun fd -> F.close fs ~rank fd) fds)
-      in
-      List.for_all
-        (fun domains -> V.Conflict.detect ~domains d = base)
-        [ 2; 4; 64 ])
-
 let () =
   Alcotest.run "conflict"
     [
@@ -295,6 +258,5 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_sweep_matches_brute_force;
-          QCheck_alcotest.to_alcotest prop_sharded_sweep_deterministic;
         ] );
     ]

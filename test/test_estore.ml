@@ -225,6 +225,42 @@ let prop_pipeline_total =
           o.V.Pipeline.race_count >= 0)
         V.Model.builtin)
 
+(* [Estore.of_file] lowers the GC's space_overhead for the length of a
+   load. Two loads overlapping on two domains must leave the process at
+   its own setting once both return, whichever finishes first. The
+   codec.read delay holds each load inside the override, so starting B
+   100 ms after A interleaves them as A in, B in, A out, B out. *)
+let test_overlapping_loads_restore_gc () =
+  let path = Filename.temp_file "estore_gc" ".vio" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (Recorder.Codec.encode ~nranks:1
+           [
+             mk ~seq:0 ~layer:R.Posix ~func:"open"
+               ~args:[ "/g"; "O_CREAT|O_RDWR" ] ~ret:"3" ();
+           ]));
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.space_overhead = 97 };
+  Fun.protect
+    ~finally:(fun () ->
+      Vio_util.Failpoint.clear ();
+      Gc.set saved;
+      Sys.remove path)
+    (fun () ->
+      (match Vio_util.Failpoint.configure "codec.read=delay:300" with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      let load () = V.Estore.length (V.Estore.of_file path) in
+      let a = Domain.spawn load in
+      Vio_util.Backoff.sleep_ms 100;
+      check_int "override active while a load runs" 40
+        (Gc.get ()).Gc.space_overhead;
+      let b = Domain.spawn load in
+      check_int "load a" 1 (Domain.join a);
+      check_int "load b" 1 (Domain.join b);
+      check_int "space_overhead restored after both loads" 97
+        (Gc.get ()).Gc.space_overhead)
+
 let () =
   Alcotest.run "estore-decode"
     [
@@ -248,5 +284,10 @@ let () =
           Alcotest.test_case "append at global EOF" `Quick
             test_append_offset_uses_global_eof;
           Alcotest.test_case "truncate resets EOF" `Quick test_trunc_resets_eof;
+        ] );
+      ( "file",
+        [
+          Alcotest.test_case "overlapping loads restore GC" `Quick
+            test_overlapping_loads_restore_gc;
         ] );
     ]

@@ -181,129 +181,6 @@ let test_incomplete_collective_no_join () =
   check_int "no synthetic node" (V.Hb_graph.real_nodes g) (V.Hb_graph.size g);
   check_bool "diagnosed" true (m.V.Match_mpi.unmatched <> [])
 
-(* ------------------------------------------------------------------ *)
-(* Sharded assembly: the per-rank shards merged back must be            *)
-(* structurally identical to the sequential build — same adjacency      *)
-(* lists in the same order, hence the same topological order.           *)
-
-let same_graph g1 g2 =
-  let n = V.Hb_graph.size g1 in
-  V.Hb_graph.size g2 = n
-  && V.Hb_graph.real_nodes g1 = V.Hb_graph.real_nodes g2
-  && V.Hb_graph.edge_count g1 = V.Hb_graph.edge_count g2
-  && V.Hb_graph.topo_order g1 = V.Hb_graph.topo_order g2
-  &&
-  let ok = ref true in
-  for v = 0 to n - 1 do
-    if
-      V.Hb_graph.succs g1 v <> V.Hb_graph.succs g2 v
-      || V.Hb_graph.preds g1 v <> V.Hb_graph.preds g2 v
-      || V.Hb_graph.node_rank g1 v <> V.Hb_graph.node_rank g2 v
-      || V.Hb_graph.rank_pos g1 v <> V.Hb_graph.rank_pos g2 v
-    then ok := false
-  done;
-  !ok
-
-let workload ?nranks seed =
-  let p = Viogen.Workload.generate ?nranks ~seed () in
-  let records = Viogen.Workload.run p in
-  let d = V.Estore.of_records ~nranks:p.Viogen.Workload.nranks records in
-  (d, V.Match_mpi.run d)
-
-(* Every happens-before edge is accounted for exactly once across the
-   shards: program-order edges as per-shard counts, everything else as
-   transfer edges. A point-to-point transfer appears on both its source
-   and destination shard (and twice on one shard when degenerate), so
-   the accounting dedups by endpoint pair; collective transfers have a
-   join endpoint on no shard and appear on exactly one list. *)
-let transfers_account_for_edges s g =
-  let po =
-    Array.fold_left
-      (fun acc sh -> acc + V.Hb_graph.shard_po_edges sh)
-      0 (V.Hb_graph.shards s)
-  in
-  let seen = Hashtbl.create 64 in
-  let note t =
-    Hashtbl.replace seen (t.V.Hb_graph.t_src, t.V.Hb_graph.t_dst) ()
-  in
-  Array.iter
-    (fun sh ->
-      List.iter note (V.Hb_graph.shard_out sh);
-      List.iter note (V.Hb_graph.shard_in sh))
-    (V.Hb_graph.shards s);
-  po + Hashtbl.length seen = V.Hb_graph.edge_count g
-
-let prop_sharded_equals_sequential =
-  QCheck2.Test.make ~name:"build_sharded merged = sequential build" ~count:60
-    QCheck2.Gen.(triple (int_range 1 500) (int_range 1 4) (oneofl [ 0; 8; 64 ]))
-    (fun (seed, domains, nr) ->
-      let nranks = if nr = 0 then None else Some nr in
-      let d, m = workload ?nranks seed in
-      let g_seq = V.Hb_graph.build d m in
-      let s = V.Hb_graph.build_sharded ~domains d m in
-      let g_sh = V.Hb_graph.sharded_graph s in
-      let gp_seq, drop_seq = V.Hb_graph.build_partial d m in
-      let gp_sh, drop_sh = V.Hb_graph.sharded_graph_partial s in
-      same_graph g_seq g_sh
-      && V.Hb_graph.boundary_nodes s
-         = ( V.Hb_graph.real_nodes g_seq,
-             V.Hb_graph.size g_seq - V.Hb_graph.real_nodes g_seq )
-      && transfers_account_for_edges s g_sh
-      && Array.for_all
-           (fun sh ->
-             Array.for_all
-               (fun v -> V.Hb_graph.node_rank g_sh v = V.Hb_graph.shard_rank sh)
-               (V.Hb_graph.shard_nodes sh))
-           (V.Hb_graph.shards s)
-      && drop_seq = drop_sh
-      && same_graph gp_seq gp_sh)
-
-let test_sharded_partial_drops_cycle () =
-  (* Fabricated contradictory matching (as in the resilience suite):
-     sharded_graph_partial must locate the cycle on the merged graph and
-     drop exactly the events build_partial drops. *)
-  let p = Viogen.Workload.generate ~seed:11 () in
-  let records = Viogen.Workload.run p in
-  let d =
-    V.Estore.of_records ~mode:Recorder.Diagnostic.Lenient
-      ~nranks:p.Viogen.Workload.nranks records
-  in
-  let chain r = V.Estore.rank_chain d r in
-  let ev1 =
-    V.Match_mpi.P2p { send = (chain 0).(1); completion = (chain 1).(0) }
-  in
-  let ev2 =
-    V.Match_mpi.P2p { send = (chain 1).(1); completion = (chain 0).(0) }
-  in
-  let m =
-    {
-      V.Match_mpi.events = [ ev1; ev2 ];
-      unmatched = [];
-      comm_ranks = [];
-      diagnostics = [];
-    }
-  in
-  let g_seq, drop_seq = V.Hb_graph.build_partial d m in
-  let s = V.Hb_graph.build_sharded ~domains:3 d m in
-  let g_sh, drop_sh = V.Hb_graph.sharded_graph_partial s in
-  check_int "both cyclic events dropped" 2 (List.length drop_sh);
-  check_bool "same dropped events" true (drop_seq = drop_sh);
-  check_bool "same partial graph" true (same_graph g_seq g_sh)
-
-let test_sharded_boundary_ids_stable () =
-  (* Join node ids must not depend on how many domains built the
-     shards: same boundary window and same merged graph at 1..4. *)
-  let d, m = workload ~nranks:16 42 in
-  let ref_s = V.Hb_graph.build_sharded ~domains:1 d m in
-  let ref_g = V.Hb_graph.sharded_graph ref_s in
-  for domains = 2 to 4 do
-    let s = V.Hb_graph.build_sharded ~domains d m in
-    check_bool "same boundary window" true
-      (V.Hb_graph.boundary_nodes s = V.Hb_graph.boundary_nodes ref_s);
-    check_bool "same merged graph" true
-      (same_graph ref_g (V.Hb_graph.sharded_graph s))
-  done
-
 let () =
   Alcotest.run "hb-graph"
     [
@@ -323,13 +200,5 @@ let () =
         [
           Alcotest.test_case "topological order" `Quick test_topo_order_is_valid;
           Alcotest.test_case "preds mirror succs" `Quick test_preds_mirror_succs;
-        ] );
-      ( "sharded",
-        [
-          QCheck_alcotest.to_alcotest prop_sharded_equals_sequential;
-          Alcotest.test_case "partial drops cycle" `Quick
-            test_sharded_partial_drops_cycle;
-          Alcotest.test_case "boundary ids stable" `Quick
-            test_sharded_boundary_ids_stable;
         ] );
     ]

@@ -1,9 +1,9 @@
 (* Tests for the five happens-before engines: correctness against a
    brute-force transitive closure on randomly generated (deadlock-free)
    simulator programs, plus engine-specific behaviours. The engine list
-   comes from [Reach.all_engines], so the interval-index engine added in
-   PR 8 rides through every agreement check; the cross-shard suite below
-   additionally drives it on a sharded-built graph at campaign scale. *)
+   comes from [Reach.all_engines], so the interval-index engine rides
+   through every agreement check; the cross-shard suite below
+   additionally drives it on a 64-rank graph at campaign scale. *)
 
 module E = Mpisim.Engine
 module M = Mpisim.Mpi
@@ -223,22 +223,21 @@ let prop_engines_agree_reaches_and_concurrent =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-shard queries: the interval-index engine stitches reachability
-   through transfer-edge frontiers, so its hardest inputs are pairs on
-   different ranks whose only happens-before path crosses a collective
-   join. Build a wide (64-rank) generated workload with the sharded
-   assembler and check interval-index against vector-clock and memoized
-   BFS on exactly those pairs. *)
+(* Cross-rank queries: the interval-index engine carries per-rank labels
+   across MPI match and collective join edges, so its hardest inputs are
+   pairs on different ranks whose only happens-before path crosses a
+   collective join. Build a wide (64-rank) generated workload and check
+   interval-index against vector-clock and memoized BFS on exactly those
+   pairs. *)
 
-let sharded_graph_of ~nranks seed =
+let wide_graph_of ~nranks seed =
   let p = Viogen.Workload.generate ~nranks ~seed () in
   let records = Viogen.Workload.run p in
   let d = V.Estore.of_records ~nranks:p.Viogen.Workload.nranks records in
-  let m = V.Match_mpi.run d in
-  V.Hb_graph.sharded_graph (V.Hb_graph.build_sharded ~domains:4 d m)
+  V.Hb_graph.build d (V.Match_mpi.run d)
 
 let test_interval_cross_shard () =
-  let g = sharded_graph_of ~nranks:64 2024 in
+  let g = wide_graph_of ~nranks:64 2024 in
   let ii = V.Reach.create V.Reach.Interval_index g in
   let vc = V.Reach.create V.Reach.Vector_clock g in
   let bfs = V.Reach.create V.Reach.Bfs_memo g in
@@ -249,7 +248,7 @@ let test_interval_cross_shard () =
   check_bool "workload is genuinely wide" true (!nranks >= 64);
   (* Sample chain positions on rank pairs far apart: any hb order between
      them must route through a collective join (no p2p spans 60 ranks in
-     these workloads), straddling at least one shard boundary. *)
+     these workloads). *)
   let checked = ref 0 in
   for ra = 0 to !nranks - 1 do
     let rb = (ra + (!nranks / 2)) mod !nranks in
@@ -259,21 +258,21 @@ let test_interval_cross_shard () =
       for kb = 0 to 3 do
         let a = pick ca ka and b = pick cb kb in
         let expected = V.Reach.reaches vc a b in
-        check_bool "interval-index = vector-clock across shards" true
+        check_bool "interval-index = vector-clock across ranks" true
           (V.Reach.reaches ii a b = expected);
-        check_bool "bfs = vector-clock across shards" true
+        check_bool "bfs = vector-clock across ranks" true
           (V.Reach.reaches bfs a b = expected);
         if expected then incr checked
       done
     done
   done;
-  check_bool "some cross-shard pairs were actually ordered" true (!checked > 0)
+  check_bool "some cross-rank pairs were actually ordered" true (!checked > 0)
 
 let test_interval_synthetic_endpoints () =
   (* Synthetic collective joins are valid sources (the engine labels
      them) but not targets — the backward dual of vector-clock's
      synthetic-source restriction. *)
-  let g = sharded_graph_of ~nranks:8 5 in
+  let g = wide_graph_of ~nranks:8 5 in
   check_bool "graph has synthetic nodes" true
     (V.Hb_graph.size g > V.Hb_graph.real_nodes g);
   let ii = V.Reach.create V.Reach.Interval_index g in

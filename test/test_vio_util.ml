@@ -483,7 +483,7 @@ let test_failpoint_spec_parse () =
   F.clear ();
   (match
      F.configure
-       "codec.read=fail@3;fsio.fsync=prob:0.5:7;estore.segment=delay:1;\
+       "codec.read=fail@3;fsio.fsync=prob:0.5:7;batch.worker=delay:1;\
         fsio.append=short:16;cache.store=bitflip:9"
    with
   | Ok () -> ()

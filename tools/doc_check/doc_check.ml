@@ -1,6 +1,6 @@
 (* doc_check — keep the prose honest.
 
-   Three classes of documentation rot this tool catches:
+   Four classes of documentation rot this tool catches:
 
    1. Dead relative links: a [text](path) markdown link in README.md,
       DESIGN.md or docs/*.md whose target file no longer exists
@@ -13,6 +13,10 @@
    3. Stale subcommands: a `verifyio NAME`, $ verifyio NAME or
       verifyio_cli.exe -- NAME mention whose NAME is not in the CLI's
       `cmds` list (subcommands get deleted; examples don't).
+
+   4. Stale failpoint sites: a SITE=POLICY spec (e.g.
+      codec.read=fail@2) whose SITE is not in the `known_sites` registry
+      of lib/vio_util/failpoint.ml (sites get deleted; specs don't).
 
    Run from anywhere with --root pointing at the workspace root. Exits
    non-zero with one line per problem; prints a one-line summary when
@@ -181,6 +185,42 @@ let check_subcommands cmds md content =
         fail "%s:%d: stale subcommand %s — not in the cmds list of \
               bin/verifyio_cli.ml" md (line_at content start) name)
 
+(* ---- 4. stale failpoint sites ------------------------------------ *)
+
+(* The site names the fabric registers: the first string literal of each
+   pair in the `known_sites` list of lib/vio_util/failpoint.ml. *)
+let declared_sites registry_source =
+  let sites = Hashtbl.create 16 in
+  (match
+     Str.search_forward (Str.regexp_string "let known_sites =")
+       registry_source 0
+   with
+  | start ->
+      let list = Str.string_after registry_source start in
+      let list =
+        match String.index_opt list ']' with
+        | Some close -> String.sub list 0 close
+        | None -> list
+      in
+      let name_re = Str.regexp "(\"\\([^\"]*\\)\"," in
+      ignore
+        (each_match name_re list (fun _ ->
+             Hashtbl.replace sites (Str.matched_group 1 list) ()))
+  | exception Not_found -> ());
+  sites
+
+(* A dotted site name, '=', then a policy keyword of the spec grammar. *)
+let spec_re =
+  Str.regexp
+    "\\b\\([a-z][a-z0-9_]*\\(\\.[a-z][a-z0-9_]*\\)+\\)=\\(off\\|fail\\|prob\\|delay\\|short\\|bitflip\\)"
+
+let check_specs sites md content =
+  each_match spec_re content (fun start ->
+      let name = Str.matched_group 1 content in
+      if not (Hashtbl.mem sites name) then
+        fail "%s:%d: stale failpoint site %s — not in the registry of \
+              lib/vio_util/failpoint.ml" md (line_at content start) name)
+
 (* ---- driver ------------------------------------------------------- *)
 
 let () =
@@ -197,15 +237,23 @@ let () =
   let flags = declared_flags cli_source in
   let cmds = declared_subcommands cli_source in
   if Hashtbl.length cmds = 0 then fail "no cmds list found in %s" cli;
+  let registry = Filename.concat !root "lib/vio_util/failpoint.ml" in
+  let sites =
+    if Sys.file_exists registry then declared_sites (read_file registry)
+    else Hashtbl.create 0
+  in
+  if Hashtbl.length sites = 0 then
+    fail "no known_sites registry found in %s" registry;
   let mds = markdown_files !root in
   if mds = [] then fail "no markdown files found under %s" !root;
-  let links = ref 0 and mentions = ref 0 and uses = ref 0 in
+  let links = ref 0 and mentions = ref 0 and uses = ref 0 and specs = ref 0 in
   List.iter
     (fun md ->
       let content = read_file md in
       links := !links + check_links md content;
       mentions := !mentions + check_flags flags md content;
-      uses := !uses + check_subcommands cmds md content)
+      uses := !uses + check_subcommands cmds md content;
+      specs := !specs + check_specs sites md content)
     mds;
   if !errors > 0 then begin
     Printf.eprintf "doc-check: %d problem(s)\n" !errors;
@@ -213,5 +261,5 @@ let () =
   end;
   Printf.printf
     "doc-check: %d files, %d relative links, %d flag mentions, %d \
-     subcommand mentions — all good\n"
-    (List.length mds) !links !mentions !uses
+     subcommand mentions, %d failpoint specs — all good\n"
+    (List.length mds) !links !mentions !uses !specs
