@@ -1349,7 +1349,7 @@ let chaos_seed_arg =
   Arg.(
     value & opt int 7
     & info [ "seed" ] ~docv:"N"
-        ~doc:"Drives trace generation and kill timing.")
+        ~doc:"Drives trace generation and kill points.")
 
 let chaos_term =
   Term.(
@@ -1484,9 +1484,6 @@ let () =
       Printf.eprintf "verifyio: fatal: out of memory\n";
       usage_error
     | Vio_util.Failpoint.Injected _ as e ->
-      Printf.eprintf "verifyio: fatal: %s\n" (Printexc.to_string e);
-      usage_error
-    | Vio_util.Supervisor.Domain_failure _ as e ->
       Printf.eprintf "verifyio: fatal: %s\n" (Printexc.to_string e);
       usage_error
   in

@@ -201,8 +201,10 @@ module Ivec = struct
   (* Chunked growable int column. Fixed-size chunks instead of a
      doubling array keep the builder's peak heap tight: capacity waste
      is bounded by one chunk per column, and growing never holds an
-     old-plus-new copy of the whole store live at once. *)
-  let chunk_bits = 15
+     old-plus-new copy of the whole store live at once. 1k-slot chunks
+     keep the fixed cost of a small store (one first chunk per column)
+     at 8 KiB a column. *)
+  let chunk_bits = 10
 
   let chunk_size = 1 lsl chunk_bits
 
@@ -214,7 +216,7 @@ module Ivec = struct
     if v.n land (chunk_size - 1) = 0 then begin
       let c = v.n lsr chunk_bits in
       if c >= Array.length v.chunks then begin
-        (* Spine doubling is cheap: one pointer per 32k elements. *)
+        (* Spine doubling is cheap: one pointer per 1k elements. *)
         let spine = Array.make (max 8 (2 * Array.length v.chunks)) [||] in
         Array.blit v.chunks 0 spine 0 (Array.length v.chunks);
         v.chunks <- spine
@@ -390,19 +392,16 @@ let finish b =
   let pool = b.b_pool in
   let in_flight_id = Strpool.intern pool Recorder.Trace.in_flight_ret in
   (* Op index order is (rank, seq, arrival): a stable sort by (rank, seq),
-     exactly the order the boxed decoder produced. *)
+     exactly the order the boxed decoder produced. Both codecs deliver
+     records in that order, and skipping the sort then keeps its scratch
+     arrays out of a large load's peak. *)
+  let by_key a b' =
+    let c = Int.compare (Ivec.get b.b_rank a) (Ivec.get b.b_rank b') in
+    if c <> 0 then c else Int.compare (Ivec.get b.b_seq a) (Ivec.get b.b_seq b')
+  in
+  let rec in_order i = i >= n || (by_key (i - 1) i <= 0 && in_order (i + 1)) in
   let perm = Array.init n Fun.id in
-  (* Sweep the decode phase's garbage before the column-materialization
-     burst below; see the note on the releases. *)
-  Gc.full_major ();
-  Array.sort
-    (fun a b' ->
-      let c = compare (Ivec.get b.b_rank a) (Ivec.get b.b_rank b') in
-      if c <> 0 then c
-      else
-        let c = compare (Ivec.get b.b_seq a) (Ivec.get b.b_seq b') in
-        if c <> 0 then c else compare a b')
-    perm;
+  if not (in_order 1) then Array.stable_sort by_key perm;
   let rank_c = Ivec.permuted b.b_rank perm in
   Ivec.release b.b_rank;
   let seq_c = Ivec.permuted b.b_seq perm in
@@ -420,11 +419,6 @@ let finish b =
     Bytes.set layer_c i (Char.chr (Ivec.get b.b_layer perm.(i)))
   done;
   Ivec.release b.b_layer;
-  (* The released chunks are garbage but the incremental major GC lags
-     behind this allocation burst and would grow the heap instead of
-     reusing them; a forced major keeps the load's high-water tight and
-     costs a few ms against a ~1s decode. *)
-  Gc.full_major ();
   (* Variable-length columns: permute the per-op slices. *)
   let args_off = Array.make (n + 1) 0 in
   let path_off = Array.make (n + 1) 0 in
@@ -452,7 +446,15 @@ let finish b =
   Svec.release b.b_args;
   Ivec.release b.b_path_off;
   Ivec.release b.b_path;
-  Gc.full_major ();
+  (* Every builder column is garbage now, but the incremental major GC
+     lags behind the allocation burst above and would grow the heap
+     rather than reuse that space. One major cycle reclaims it before the
+     classification columns are allocated. The cycle also runs for small
+     stores: without it, the corpus benchmark's peak RSS rose past its
+     bound, because the harness keeps a sample per request and its heap
+     grew with throughput. Look at it again once the harness stops
+     retaining per-request samples. *)
+  Gc.major ();
   (* Classification columns, written in global timestamp order so the
      per-file EOF reconstruction sees writes in execution order. *)
   let kind_c = Bytes.make (max 1 n) (Char.chr tag_other) in
@@ -630,8 +632,9 @@ let finish b =
     | (0 | 1 | 2 | 3), _ -> set_tag i tag_other
     | _ -> assert false
   in
+  (* Timestamp ties fall in op index, i.e. (rank, seq), order. *)
   let order = Array.init n Fun.id in
-  Array.sort (fun a b' -> compare tstart_c.(a) tstart_c.(b')) order;
+  Array.stable_sort (fun a b' -> Int.compare tstart_c.(a) tstart_c.(b')) order;
   Array.iter
     (fun i ->
       let never_returned = ret_c.(i) = in_flight_id in

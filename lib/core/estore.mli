@@ -77,6 +77,12 @@ type builder
 val builder : ?mode:Recorder.Diagnostic.mode -> nranks:int -> unit -> builder
 val add : builder -> Recorder.Record.t -> unit
 val finish : builder -> t
+(** Freeze the store. Op indices follow a stable sort by (rank, seq), so
+    records with equal keys keep their arrival order; the sort runs only
+    when the records did not arrive in that order. Classification
+    replays the ops in timestamp order, ties in op index order. One load
+    forces one major GC cycle, to reclaim the builder's columns before
+    the classification columns are allocated. *)
 
 (** {1 Store-wide accessors} *)
 

@@ -70,16 +70,45 @@ let run_daemon_to_completion cfg =
   let status = waitpid pid in
   (status, Unix.gettimeofday () -. t0)
 
-(* Spawn, let it work for [ms], SIGKILL. True when the kill actually
-   landed (the child had not already drained the spool and exited). *)
-let kill_daemon_after cfg ~ms =
+(* Job transitions ([started] and [finished] records) in the journal;
+   a torn final line does not parse and does not count. *)
+let transitions journal =
+  match Fsio.read_file journal with
+  | exception Sys_error _ -> 0
+  | raw ->
+    List.fold_left
+      (fun n line ->
+        match J.of_string line with
+        | Ok doc -> (
+          match J.member "ev" doc with
+          | Some (J.Str ("started" | "finished")) -> n + 1
+          | _ -> n)
+        | Error _ -> n)
+      0
+      (String.split_on_char '\n' raw)
+
+(* Spawn, poll the journal every millisecond, and SIGKILL the child once
+   it has journalled [after] job transitions. A job writes [started]
+   before [finished] (only jobs quarantined at start-up skip it), so with
+   [after] at most the number of unfinished jobs, one of them is still
+   unfinished then and the kill lands mid-batch however fast the daemon
+   works. True when it landed (the child had not already drained the
+   spool and exited). *)
+let kill_daemon_after cfg ~journal ~after =
+  let base = transitions journal in
   let pid, _ = spawn_daemon cfg in
-  Vio_util.Backoff.sleep_ms ms;
-  let landed = try Unix.kill pid Sys.sigkill; true
-               with Unix.Unix_error (Unix.ESRCH, _, _) -> false in
-  let status = waitpid pid in
-  (match status with Unix.WSIGNALED s -> s = Sys.sigkill | _ -> false)
-  && landed
+  let rec poll () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when transitions journal - base < after ->
+      Vio_util.Backoff.sleep_ms 1;
+      poll ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      waitpid pid = Unix.WSIGNALED Sys.sigkill
+    | _ -> false
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll ()
+  in
+  poll ()
 
 let builtin_names () =
   List.map (fun (m : Verifyio.Model.t) -> m.Verifyio.Model.name)
@@ -159,17 +188,35 @@ let run cfg =
     (Printf.sprintf "submitted %d job(s) (%d generated + malformed + budget)"
        (List.length all_specs) cfg.jobs);
 
-  (* 2. Kill rounds: seeded-random slice of work, then SIGKILL. *)
+  (* 2. Kill rounds: a seeded-random number of job transitions, then
+     SIGKILL. *)
   let rng = Random.State.make [| cfg.seed; 0x51ab |] in
   let kills_delivered = ref 0 in
   for round = 1 to cfg.kills do
-    let ms = 5 + Random.State.int rng 70 in
-    let landed = kill_daemon_after cfg ~ms in
-    if landed then incr kills_delivered;
-    log cfg
-      (Printf.sprintf "round %d: SIGKILL after %d ms%s" round ms
-         (if landed then "" else " (daemon already drained)"))
+    let unfinished =
+      List.length
+        (List.filter
+           (fun (s : Spool.jobspec) ->
+             Result.is_error (Spool.read_response spool ~id:s.Spool.id))
+           all_specs)
+    in
+    if unfinished = 0 then
+      log cfg (Printf.sprintf "round %d: skipped (spool already drained)" round)
+    else begin
+      let after = 1 + Random.State.int rng unfinished in
+      let landed =
+        kill_daemon_after cfg ~journal:spool.Spool.journal ~after
+      in
+      if landed then incr kills_delivered;
+      log cfg
+        (Printf.sprintf "round %d: SIGKILL after %d job transition(s)%s" round
+           after
+           (if landed then "" else " (daemon already drained)"))
+    end
   done;
+  (* A campaign whose every kill missed checked no recovery at all. *)
+  if cfg.kills > 0 && !kills_delivered = 0 then
+    violation "none of %d SIGKILL round(s) landed mid-batch" cfg.kills;
 
   (* 3. The clean run: recovery replay plus whatever work remains. *)
   let status, replay_wall = run_daemon_to_completion cfg in

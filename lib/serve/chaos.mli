@@ -5,10 +5,14 @@
     plus one deliberately malformed trace and one job with a one-step
     budget, so the quarantine and timeout paths are exercised every run
     — then repeatedly spawns the daemon as a child process
-    ([<exe> serve --once]), lets it run for a seeded-random slice, and
-    SIGKILLs it mid-batch. After [kills] rounds a final child runs to
-    completion, and the validator checks the crash-safety contract:
+    ([<exe> serve --once]) and SIGKILLs it once its journal holds a
+    seeded-random number of new job transitions ([started] or [finished]
+    records), at most the number of unfinished jobs, so the kill lands
+    mid-batch however fast the daemon works. After [kills] rounds a
+    final child runs to completion, and the validator checks the
+    crash-safety contract:
 
+    - {b exercised}: with [kills] > 0, at least one kill landed;
     - {b termination}: every submitted job has a terminal response
       ([done], [timed_out] or [quarantined] — never lost, never
       duplicated);
@@ -27,7 +31,7 @@ type config = {
   exe : string;  (** the verifyio executable to spawn as the daemon *)
   jobs : int;  (** well-formed generated jobs (≥ 1) *)
   kills : int;  (** SIGKILL rounds before the clean run (≥ 0) *)
-  seed : int;  (** drives trace generation and kill timing *)
+  seed : int;  (** drives trace generation and kill points *)
   domains : int option;  (** forwarded to the child daemons *)
   quiet : bool;
 }

@@ -57,7 +57,6 @@ let violation st name fmt =
    crash. *)
 let documented_exn = function
   | F.Injected _ -> true
-  | Vio_util.Supervisor.Domain_failure _ -> true
   | Recorder.Codec.Malformed _ -> true
   | Verifyio.Estore.Malformed _ -> true
   | Sys_error _ -> true

@@ -8,8 +8,8 @@
       to the fault-free run (absorbed by a retry or a supervisor
       fallback) or surfaces as a {e documented} error
       ({!Vio_util.Failpoint.Injected}, [Codec.Malformed],
-      [Estore.Malformed], [Sys_error], [Domain_failure], a budget
-      overrun) — never an undocumented crash;
+      [Estore.Malformed], [Sys_error], a budget overrun) — never an
+      undocumented crash;
     - a daemon killed by an injected fault recovers on restart: every
       job reaches a terminal response whose verdict bytes equal a fresh
       sequential run's, no orphans remain in [incoming/] or [claimed/],

@@ -1,14 +1,7 @@
 type failure = { f_tag : string; f_index : int; f_exn : string }
 
-exception Domain_failure of failure
-
 let to_string f =
   Printf.sprintf "%s: worker %d died: %s" f.f_tag f.f_index f.f_exn
-
-let () =
-  Printexc.register_printer (function
-    | Domain_failure f -> Some ("domain failure: " ^ to_string f)
-    | _ -> None)
 
 let run_workers ~tag ~domains body =
   let domains = max 1 domains in

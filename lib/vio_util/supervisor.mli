@@ -20,11 +20,6 @@ type failure = {
   f_exn : string;  (** [Printexc.to_string] of what escaped *)
 }
 
-exception Domain_failure of failure
-(** For callers with no sequential fallback: raise the typed diagnostic
-    instead of the raw worker exception. Mapped to the documented exit 2
-    one-liner at the CLI boundary. *)
-
 val to_string : failure -> string
 (** One-line rendering: [tag: worker N died: exn]. *)
 

@@ -261,6 +261,172 @@ let test_overlapping_loads_restore_gc () =
       check_int "space_overhead restored after both loads" 97
         (Gc.get ()).Gc.space_overhead)
 
+(* ---- op order --------------------------------------------------------- *)
+
+module E = V.Estore
+
+let rank_seq (r : R.t) = (r.rank, r.seq)
+
+let in_rank_seq_order records =
+  let rec go = function
+    | a :: (b :: _ as rest) -> compare (rank_seq a) (rank_seq b) <= 0 && go rest
+    | _ -> true
+  in
+  go records
+
+(* Every per-op accessor agrees, and so do the store-wide views. *)
+let op_equal a b i =
+  E.rank a i = E.rank b i
+  && E.seq a i = E.seq b i
+  && E.tstart a i = E.tstart b i
+  && E.tend a i = E.tend b i
+  && E.layer a i = E.layer b i
+  && E.func a i = E.func b i
+  && E.ret a i = E.ret b i
+  && E.in_flight a i = E.in_flight b i
+  && E.degraded a i = E.degraded b i
+  && E.nargs a i = E.nargs b i
+  && List.for_all (fun j -> E.arg a i j = E.arg b i j) (List.init (E.nargs a i) Fun.id)
+  && E.kind_tag a i = E.kind_tag b i
+  && E.is_data a i = E.is_data b i
+  && E.is_write a i = E.is_write b i
+  && E.fid a i = E.fid b i
+  && E.fid_opt a i = E.fid_opt b i
+  && E.iv_lo a i = E.iv_lo b i
+  && E.iv_hi a i = E.iv_hi b i
+  && E.api_of a i = E.api_of b i
+  && E.kind a i = E.kind b i
+  && E.record a i = E.record b i
+
+let stores_equal a b =
+  E.length a = E.length b
+  && E.nranks a = E.nranks b
+  && E.files a = E.files b
+  && E.diagnostics a = E.diagnostics b
+  && List.for_all
+       (fun r -> E.rank_chain a r = E.rank_chain b r)
+       (List.init (E.nranks a) Fun.id)
+  && List.for_all (op_equal a b) (List.init (E.length a) Fun.id)
+
+let shuffle ~seed l =
+  let a = Array.of_list l in
+  let st = Random.State.make [| seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let with_encoded fmt ~nranks records f =
+  let path = Filename.temp_file "estore_sorted" ".vio" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Recorder.Codec.encode_format fmt ~nranks records));
+      f path)
+
+(* Op index order does not depend on the order records arrive in: a
+   store built from (rank, seq)-sorted records (which [finish] does not
+   sort), from a shuffle of them (which it sorts) and from the encoded
+   trace must be the same store. Lenient cases crash a rank, so
+   in-flight records and their diagnostics are part of the comparison. *)
+let prop_arrival_order =
+  QCheck2.Test.make ~name:"sorted, shuffled and file loads build one store"
+    ~count:60
+    QCheck2.Gen.(
+      triple (int_range 0 100_000) bool
+        (oneofl [ Recorder.Diagnostic.Strict; Recorder.Diagnostic.Lenient ]))
+    (fun (seed, extended, mode) ->
+      let profile = if extended then Viogen.Workload.Extended else Classic in
+      let p = Viogen.Workload.generate ~profile ~seed () in
+      let nranks = p.Viogen.Workload.nranks in
+      let abort_rank =
+        if mode = Recorder.Diagnostic.Lenient then Some (seed mod nranks, 1 + (seed mod 4))
+        else None
+      in
+      let sorted =
+        List.stable_sort
+          (fun a b -> compare (rank_seq a) (rank_seq b))
+          (Viogen.Workload.run ?abort_rank p)
+      in
+      let shuffled = shuffle ~seed sorted in
+      if in_rank_seq_order shuffled then
+        QCheck2.Test.fail_report "shuffle left the records in (rank, seq) order";
+      let reference = E.of_records ~mode ~nranks sorted in
+      stores_equal reference (E.of_records ~mode ~nranks shuffled)
+      && List.for_all
+           (fun fmt ->
+             with_encoded fmt ~nranks sorted (fun path ->
+                 stores_equal reference (E.of_file ~mode path)))
+           [ Recorder.Codec.Text; Recorder.Codec.Binary ])
+
+(* Two records with one (rank, seq) key keep their arrival order, whether
+   or not the input as a whole arrives sorted. *)
+let test_equal_keys_keep_arrival () =
+  let dup tag = mk ~seq:1 ~layer:R.Mpi ~func:"MPI_Barrier" ~args:[ tag ] () in
+  let first = mk ~seq:0 ~layer:R.Mpi ~func:"MPI_Barrier" ~args:[ "first" ] () in
+  let last = mk ~seq:2 ~layer:R.Mpi ~func:"MPI_Barrier" ~args:[ "last" ] () in
+  let args_of records =
+    let e = E.of_records ~nranks:2 records in
+    List.init (E.length e) (fun i -> E.arg e i 0)
+  in
+  let check name records expect =
+    Alcotest.(check (list string)) name expect (args_of records)
+  in
+  check "presorted a, b" [ dup "a"; dup "b" ] [ "a"; "b" ];
+  check "presorted b, a" [ first; dup "b"; dup "a"; last ] [ "first"; "b"; "a"; "last" ];
+  check "unsorted a, b" [ last; dup "a"; dup "b"; first ] [ "first"; "a"; "b"; "last" ];
+  check "unsorted b, a" [ last; dup "b"; first; dup "a" ] [ "first"; "b"; "a"; "last" ]
+
+(* Ops with equal [tstart] on different ranks are classified in (rank,
+   seq) order, which numbers the files and reconstructs EOF. *)
+let test_timestamp_ties_in_rank_order () =
+  let at ~rank ~seq ~t ~func ~args ?ret () =
+    { (mk ~rank ~seq ~layer:R.Posix ~func ~args ?ret ()) with R.tstart = t; tend = t + 1 }
+  in
+  let opens =
+    List.init 4 (fun rank ->
+        at ~rank ~seq:0 ~t:0 ~func:"open"
+          ~args:[ Printf.sprintf "/r%d" rank; "O_CREAT|O_RDWR" ]
+          ~ret:"3" ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "fids in rank order"
+    [ ("/r0", 0); ("/r1", 1); ("/r2", 2); ("/r3", 3) ]
+    (E.files (E.of_records ~nranks:4 opens));
+  let e =
+    E.of_records ~nranks:2
+      [
+        at ~rank:0 ~seq:0 ~t:0 ~func:"open" ~args:[ "/f"; "O_CREAT|O_RDWR" ] ~ret:"3" ();
+        at ~rank:0 ~seq:1 ~t:10 ~func:"pwrite" ~args:[ "3"; "4"; "0" ] ~ret:"4" ();
+        at ~rank:1 ~seq:0 ~t:0 ~func:"open" ~args:[ "/f"; "O_RDWR" ] ~ret:"3" ();
+        at ~rank:1 ~seq:1 ~t:10 ~func:"lseek" ~args:[ "3"; "0"; "SEEK_END" ] ~ret:"4" ();
+        at ~rank:1 ~seq:2 ~t:20 ~func:"write" ~args:[ "3"; "2" ] ~ret:"2" ();
+      ]
+  in
+  check_int "rank 1 writes at the EOF rank 0's pwrite left" 4 (E.iv_lo e 4)
+
+(* A load forces one major cycle to reclaim the builder's columns; a
+   small store must not pay for more than that. *)
+let test_one_major_cycle_per_load () =
+  let records =
+    [
+      mk ~seq:0 ~layer:R.Posix ~func:"open" ~args:[ "/f"; "O_CREAT|O_RDWR" ] ~ret:"3" ();
+      mk ~seq:1 ~layer:R.Posix ~func:"pwrite" ~args:[ "3"; "4"; "0" ] ~ret:"4" ();
+      mk ~seq:2 ~layer:R.Posix ~func:"close" ~args:[ "3" ] ();
+    ]
+  in
+  let majors () = (Gc.quick_stat ()).Gc.major_collections in
+  let before = majors () in
+  check_int "ops" 3 (E.length (E.of_records ~nranks:2 records));
+  let added = majors () - before in
+  check_bool
+    (Printf.sprintf "one load ran %d major collections, at most 3 allowed" added)
+    true (added <= 3)
+
 let () =
   Alcotest.run "estore-decode"
     [
@@ -289,5 +455,15 @@ let () =
         [
           Alcotest.test_case "overlapping loads restore GC" `Quick
             test_overlapping_loads_restore_gc;
+          Alcotest.test_case "one major cycle per load" `Quick
+            test_one_major_cycle_per_load;
+        ] );
+      ( "order",
+        [
+          Alcotest.test_case "equal keys keep arrival order" `Quick
+            test_equal_keys_keep_arrival;
+          Alcotest.test_case "timestamp ties in rank order" `Quick
+            test_timestamp_ties_in_rank_order;
+          QCheck_alcotest.to_alcotest prop_arrival_order;
         ] );
     ]
