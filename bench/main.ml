@@ -185,7 +185,8 @@ let pruning_ablation () =
     in
     let records = H.run wl in
     let run pruning =
-      V.Pipeline.verify ~pruning ~model:V.Model.commit ~nranks:2 records
+      V.Pipeline.verify_prepared ~pruning ~model:V.Model.commit
+        (V.Pipeline.prepare ~nranks:2 records)
     in
     let a = run true and b = run false in
     let hits = a.V.Pipeline.stats.V.Verify.rule_hits in
@@ -227,8 +228,8 @@ let engine_comparison () =
     List.iter
       (fun engine ->
         let o =
-          V.Pipeline.verify ~engine ~model:V.Model.mpi_io ~nranks:w.H.nranks
-            records
+          V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+            (V.Pipeline.prepare ~engine ~nranks:w.H.nranks records)
         in
         T.add_row t
           [
@@ -258,7 +259,8 @@ let table_iv () =
         | Some w ->
           let records = H.run ~scale w in
           let o =
-            V.Pipeline.verify ~model:V.Model.mpi_io ~nranks:w.H.nranks records
+            V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+              (V.Pipeline.prepare ~nranks:w.H.nranks records)
           in
           Some (name, List.length records, o))
       cases
@@ -312,8 +314,8 @@ let scale_sweep () =
           (fun scale ->
             let records = H.run ~scale w in
             let o =
-              V.Pipeline.verify ~model:V.Model.mpi_io ~nranks:w.H.nranks
-                records
+              V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+                (V.Pipeline.prepare ~nranks:w.H.nranks records)
             in
             T.add_row t
               [

@@ -52,6 +52,15 @@ let parse_abort_rank = function
    cmdliner-level equivalent. *)
 let usage_error = 2
 
+(* Every subcommand checks its inputs in one [let*] chain: an [Error]
+   prints its one-line diagnostic and exits [usage_error]. *)
+let ( let* ) r f =
+  match r with
+  | Ok v -> f v
+  | Error e ->
+    Printf.eprintf "%s\n" e;
+    usage_error
+
 let resolve_format = function
   | "text" -> Ok Recorder.Codec.Text
   | "binary" -> Ok Recorder.Codec.Binary
@@ -133,75 +142,72 @@ let malformed_pos ~line ~byte ~record =
     (if byte >= 0 then Printf.sprintf ", byte %d" byte else "")
     (if record >= 0 then Printf.sprintf ", record %d" record else "")
 
-let load_source source =
-  if Sys.file_exists source then
-    try Ok (Recorder.Codec.of_file source) with
-    | Failure e -> Error ("cannot read trace: " ^ e)
-    | Recorder.Codec.Malformed { line; byte; record; reason } ->
-      Error
-        (Printf.sprintf "cannot read trace (%s): %s"
-           (malformed_pos ~line ~byte ~record)
-           reason)
+(* The one-line diagnostic every reading subcommand prints for a trace
+   it cannot decode. *)
+let reading f =
+  match f () with
+  | v -> Ok v
+  | exception Recorder.Codec.Malformed { line; byte; record; reason } ->
+    Error
+      (Printf.sprintf "cannot read trace (%s): %s"
+         (malformed_pos ~line ~byte ~record)
+         reason)
+  | exception Verifyio.Estore.Malformed reason ->
+    Error ("cannot read trace: " ^ reason)
+  | exception Failure e -> Error ("cannot read trace: " ^ e)
+
+(* What a reading subcommand works on: a trace file, left on disk for the
+   fused streaming path (no Record.t list, either wire format), or
+   records with their codec diagnostics — a workload, or any source
+   after --inject. *)
+type source =
+  | File of string
+  | Records of int * Recorder.Record.t list * Recorder.Diagnostic.t list
+
+let load source =
+  if Sys.file_exists source then Ok (File source)
   else
     match Workloads.Registry.find source with
-    | Some w -> Ok (w.nranks, Workloads.Harness.run w)
+    | Some w -> Ok (Records (w.nranks, Workloads.Harness.run w, []))
     | None ->
       Error
         (Printf.sprintf "%S is neither a trace file nor a known workload" source)
 
-(* Source loader for [verify]: optionally injects faults into the encoded
-   trace bytes (a workload source is encoded first so injection always
-   works on the same representation), then decodes in the requested
-   mode. Returns codec-level diagnostics for the pipeline's degradation
-   summary. *)
-let load_source_ext ~mode ~plan ~seed source =
-  let decode_str encoded =
-    let encoded =
-      match plan with
-      | [] -> encoded
-      | plan ->
-        let faulted, events = Recorder.Inject.apply plan ~seed encoded in
-        (* A zero-rate plan is the identity; stay silent so the output is
-           bit-identical to an uninjected run. *)
-        if events <> [] then
-          Printf.printf "injected %d fault(s) (seed %d)\n" (List.length events)
-            seed;
-        faulted
-    in
-    match Recorder.Codec.decode_ext ~mode encoded with
-    | dec ->
-      Ok
+(* --inject works on encoded bytes, so a workload is encoded first; the
+   faulted bytes are decoded in [mode]. *)
+let inject ~mode ~plan ~seed src =
+  let encoded =
+    match src with
+    | File path -> Recorder.Codec.read_file path
+    | Records (nranks, records, _) -> Recorder.Codec.encode ~nranks records
+  in
+  let faulted, events = Recorder.Inject.apply plan ~seed encoded in
+  (* A zero-rate plan is the identity; stay silent so the output is
+     bit-identical to an uninjected run. *)
+  if events <> [] then
+    Printf.printf "injected %d fault(s) (seed %d)\n" (List.length events) seed;
+  reading (fun () ->
+      let dec = Recorder.Codec.decode_ext ~mode faulted in
+      Records
         ( dec.Recorder.Codec.nranks,
           dec.Recorder.Codec.records,
-          dec.Recorder.Codec.diagnostics )
-    | exception Recorder.Codec.Malformed { line; byte; record; reason } ->
-      Error
-        (Printf.sprintf "cannot read trace (%s): %s"
-           (malformed_pos ~line ~byte ~record)
-           reason)
-  in
-  if Sys.file_exists source then decode_str (Recorder.Codec.read_file source)
-  else
-    match Workloads.Registry.find source with
-    | Some w ->
-      let records = Workloads.Harness.run w in
-      if plan = [] then Ok (w.nranks, records, [])
-      else decode_str (Recorder.Codec.encode ~nranks:w.nranks records)
-    | None ->
-      Error
-        (Printf.sprintf "%S is neither a trace file nor a known workload" source)
+          dec.Recorder.Codec.diagnostics ))
+
+let store = function
+  | File path -> Verifyio.Estore.of_file path
+  | Records (nranks, records, _) -> Verifyio.Estore.of_records ~nranks records
+
+let prepare ~engine ~mode ~partial ~budget = function
+  | File path ->
+    Verifyio.Pipeline.prepare_file ?engine ~mode ~partial ?budget path
+  | Records (nranks, records, upstream) ->
+    Verifyio.Pipeline.prepare ?engine ~mode ~upstream ~partial ?budget ~nranks
+      records
 
 (* Re-encode a trace file in the other (or an explicit) wire format. The
    input format is auto-detected by magic; the decode is strict — a
    convert that silently dropped records would change verdicts. *)
 let convert_cmd source out to_format =
-  let ( let* ) r f =
-    match r with
-    | Ok v -> f v
-    | Error e ->
-      Printf.eprintf "%s\n" e;
-      usage_error
-  in
   let* () =
     if Sys.file_exists source then Ok ()
     else Error (Printf.sprintf "no such trace file: %s" source)
@@ -218,121 +224,88 @@ let convert_cmd source out to_format =
         | Recorder.Codec.Binary -> Recorder.Codec.Text)
     | f -> resolve_format f
   in
-  match Recorder.Codec.decode encoded with
-  | exception Recorder.Codec.Malformed { line; byte; record; reason } ->
-    Printf.eprintf "cannot read trace (%s): %s\n"
-      (malformed_pos ~line ~byte ~record)
-      reason;
-    usage_error
-  | nranks, records ->
-    let data = Recorder.Codec.encode_format to_fmt ~nranks records in
-    let path =
-      match out with
-      | Some p -> p
-      | None -> (
-        match to_fmt with
-        | Recorder.Codec.Binary -> Filename.remove_extension source ^ ".vtb"
-        | Recorder.Codec.Text -> Filename.remove_extension source ^ ".vio-trace")
-    in
-    let oc = open_out_bin path in
-    output_string oc data;
-    close_out oc;
-    Printf.printf "converted %d records (%s -> %s) to %s\n"
-      (List.length records)
-      (Recorder.Codec.format_name from_fmt)
-      (Recorder.Codec.format_name to_fmt)
-      path;
-    0
-
-(* Build the columnar store for a read-only command. File sources use
-   the fused streaming path (no Record.t list, either wire format);
-   workload names run the simulation and ingest the records. *)
-let load_store source =
-  if Sys.file_exists source then
-    try Ok (Verifyio.Estore.of_file source) with
-    | Failure e -> Error ("cannot read trace: " ^ e)
-    | Verifyio.Estore.Malformed reason -> Error ("cannot read trace: " ^ reason)
-    | Recorder.Codec.Malformed { line; byte; record; reason } ->
-      Error
-        (Printf.sprintf "cannot read trace (%s): %s"
-           (malformed_pos ~line ~byte ~record)
-           reason)
-  else
-    match Workloads.Registry.find source with
-    | Some w ->
-      Ok (Verifyio.Estore.of_records ~nranks:w.nranks (Workloads.Harness.run w))
-    | None ->
-      Error
-        (Printf.sprintf "%S is neither a trace file nor a known workload" source)
+  let* nranks, records = reading (fun () -> Recorder.Codec.decode encoded) in
+  let data = Recorder.Codec.encode_format to_fmt ~nranks records in
+  let path =
+    match out with
+    | Some p -> p
+    | None -> (
+      match to_fmt with
+      | Recorder.Codec.Binary -> Filename.remove_extension source ^ ".vtb"
+      | Recorder.Codec.Text -> Filename.remove_extension source ^ ".vio-trace")
+  in
+  let oc = open_out_bin path in
+  output_string oc data;
+  close_out oc;
+  Printf.printf "converted %d records (%s -> %s) to %s\n"
+    (List.length records)
+    (Recorder.Codec.format_name from_fmt)
+    (Recorder.Codec.format_name to_fmt)
+    path;
+  0
 
 let stats_cmd source =
-  match load_store source with
-  | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  | Ok d ->
-    let module R = Recorder.Record in
-    let nranks = Verifyio.Estore.nranks d in
-    Printf.printf "%d ranks, %d records\n\n" nranks (Verifyio.Estore.length d);
-    let by_layer = Hashtbl.create 8 and by_func = Hashtbl.create 64 in
-    let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
-    for i = 0 to Verifyio.Estore.length d - 1 do
-      let layer = Verifyio.Estore.layer d i in
-      bump by_layer layer;
-      bump by_func (R.layer_to_string layer ^ ":" ^ Verifyio.Estore.func d i)
-    done;
-    Printf.printf "records per layer:\n";
-    List.iter
-      (fun l ->
-        match Hashtbl.find_opt by_layer l with
-        | Some n -> Printf.printf "  %-8s %d\n" (R.layer_to_string l) n
-        | None -> ())
-      R.all_layers;
-    let funcs = Hashtbl.fold (fun k v acc -> (v, k) :: acc) by_func [] in
-    Printf.printf "\ntop functions:\n";
-    List.iteri
-      (fun i (n, f) -> if i < 15 then Printf.printf "  %6d  %s\n" n f)
-      (List.sort (fun a b -> compare b a) funcs);
-    Printf.printf "\nfiles (bytes written/read across ranks):\n";
-    let totals = Hashtbl.create 8 in
-    for i = 0 to Verifyio.Estore.length d - 1 do
-      if Verifyio.Estore.is_data d i then begin
-        let fid = Verifyio.Estore.fid d i in
-        let w, rd =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt totals fid)
-        in
-        let n = Vio_util.Interval.length (Verifyio.Estore.iv d i) in
-        Hashtbl.replace totals fid
-          (if Verifyio.Estore.is_write d i then (w + n, rd) else (w, rd + n))
-      end
-    done;
-    List.iter
-      (fun (path, fid) ->
-        let w, rd = Option.value ~default:(0, 0) (Hashtbl.find_opt totals fid) in
-        Printf.printf "  fid %d = %-24s %8d written %8d read\n" fid path w rd)
-      (Verifyio.Estore.files d);
-    0
+  let* src = load source in
+  let* d = reading (fun () -> store src) in
+  let module R = Recorder.Record in
+  let nranks = Verifyio.Estore.nranks d in
+  Printf.printf "%d ranks, %d records\n\n" nranks (Verifyio.Estore.length d);
+  let by_layer = Hashtbl.create 8 and by_func = Hashtbl.create 64 in
+  let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  for i = 0 to Verifyio.Estore.length d - 1 do
+    let layer = Verifyio.Estore.layer d i in
+    bump by_layer layer;
+    bump by_func (R.layer_to_string layer ^ ":" ^ Verifyio.Estore.func d i)
+  done;
+  Printf.printf "records per layer:\n";
+  List.iter
+    (fun l ->
+      match Hashtbl.find_opt by_layer l with
+      | Some n -> Printf.printf "  %-8s %d\n" (R.layer_to_string l) n
+      | None -> ())
+    R.all_layers;
+  let funcs = Hashtbl.fold (fun k v acc -> (v, k) :: acc) by_func [] in
+  Printf.printf "\ntop functions:\n";
+  List.iteri
+    (fun i (n, f) -> if i < 15 then Printf.printf "  %6d  %s\n" n f)
+    (List.sort (fun a b -> compare b a) funcs);
+  Printf.printf "\nfiles (bytes written/read across ranks):\n";
+  let totals = Hashtbl.create 8 in
+  for i = 0 to Verifyio.Estore.length d - 1 do
+    if Verifyio.Estore.is_data d i then begin
+      let fid = Verifyio.Estore.fid d i in
+      let w, rd =
+        Option.value ~default:(0, 0) (Hashtbl.find_opt totals fid)
+      in
+      let n = Vio_util.Interval.length (Verifyio.Estore.iv d i) in
+      Hashtbl.replace totals fid
+        (if Verifyio.Estore.is_write d i then (w + n, rd) else (w, rd + n))
+    end
+  done;
+  List.iter
+    (fun (path, fid) ->
+      let w, rd = Option.value ~default:(0, 0) (Hashtbl.find_opt totals fid) in
+      Printf.printf "  fid %d = %-24s %8d written %8d read\n" fid path w rd)
+    (Verifyio.Estore.files d);
+  0
 
 let graph_cmd source out =
-  match load_store source with
-  | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  | Ok d ->
-    let m = Verifyio.Match_mpi.run d in
-    let g = Verifyio.Hb_graph.build d m in
-    let dot = Verifyio.Hb_graph.to_dot g in
-    (match out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc dot;
-      close_out oc;
-      Printf.printf "wrote %d nodes, %d edges to %s\n"
-        (Verifyio.Hb_graph.size g)
-        (Verifyio.Hb_graph.edge_count g)
-        path
-    | None -> print_string dot);
-    0
+  let* src = load source in
+  let* d = reading (fun () -> store src) in
+  let m = Verifyio.Match_mpi.run d in
+  let g = Verifyio.Hb_graph.build d m in
+  let dot = Verifyio.Hb_graph.to_dot g in
+  (match out with
+  | Some path ->
+    let oc = open_out path in
+    output_string oc dot;
+    close_out oc;
+    Printf.printf "wrote %d nodes, %d edges to %s\n"
+      (Verifyio.Hb_graph.size g)
+      (Verifyio.Hb_graph.edge_count g)
+      path
+  | None -> print_string dot);
+  0
 
 (* Shared by every command exposing --failpoints: install the fabric
    before any instrumented code runs. A bad spec is a usage error. *)
@@ -345,10 +318,6 @@ let apply_failpoints = function
 
 let verify_cmd failpoints source model_name engine_name all_models limit
     grouped lenient partial budget inject_spec seed =
-  let ( let* ) r f = match r with Ok v -> f v | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  in
   let mode =
     if lenient then Recorder.Diagnostic.Lenient else Recorder.Diagnostic.Strict
   in
@@ -360,122 +329,71 @@ let verify_cmd failpoints source model_name engine_name all_models limit
     | _ -> Ok ()
   in
   let* plan = Recorder.Inject.plan_of_string inject_spec in
-  (* A file source with no fault injection verifies on the fused
-     streaming path: decode goes straight into Estore columns (text or
-     binary, auto-detected) with no intermediate Record.t list. Fault
-     injection needs the encoded bytes in memory, so --inject (and
-     workload sources, which have no file) take the materializing path.
-     Verdicts are byte-identical either way (golden-digest gate). *)
-  let* loaded =
-    if plan = [] && Sys.file_exists source then Ok `File
-    else
-      Result.map
-        (fun x -> `Records x)
-        (load_source_ext ~mode ~plan ~seed source)
-  in
-  let verify_one model =
-    (* A fresh budget per model: each model's verification pass gets the
-       full allowance, so `--all-models` verdicts match single-model
-       runs. *)
-    let budget = Option.map Vio_util.Budget.create budget in
-    let o =
-      match loaded with
-      | `File ->
-        Verifyio.Pipeline.verify_file ?engine ~mode ~partial ?budget ~model
-          source
-      | `Records (nranks, records, upstream) ->
-        Verifyio.Pipeline.verify ?engine ~mode ~upstream ~partial ?budget
-          ~model ~nranks records
-    in
-    if grouped then print_string (Verifyio.Report.grouped_report o)
-    else print_string (Verifyio.Report.race_report ~limit o);
-    print_string (Verifyio.Report.unmatched_table o);
-    print_string (Verifyio.Report.degradation_report o);
-    Printf.printf "engine: %s\n"
-      (Verifyio.Reach.engine_name o.Verifyio.Pipeline.engine_used);
-    let t = o.Verifyio.Pipeline.timings in
-    Printf.printf
-      "stages: read %.3fs, conflicts %.3fs, graph %.3fs, engine %.3fs, verify %.3fs\n\n"
-      t.Verifyio.Pipeline.t_read t.Verifyio.Pipeline.t_conflicts
-      t.Verifyio.Pipeline.t_graph t.Verifyio.Pipeline.t_engine
-      t.Verifyio.Pipeline.t_verify;
-    (* A lenient run succeeds when nothing definite is wrong: degradation
-       and the Under_degradation verdicts it causes are reported, not
-       fatal. A strict run demands full proper synchronization — except
-       that with partial matching, unmatched calls downgrade the verdict
-       (exit 5) rather than fail it (exit 2). *)
-    let ok =
-      if lenient then Verifyio.Pipeline.definite_races o = []
-      else if partial then o.Verifyio.Pipeline.race_count = 0
-      else Verifyio.Pipeline.is_properly_synchronized o
-    in
-    if not ok then `Races
-    else if o.Verifyio.Pipeline.inventory <> [] then `Partial
-    else `Ok
-  in
+  let* src = load source in
+  let* src = if plan = [] then Ok src else inject ~mode ~plan ~seed src in
   let* models =
     if all_models then Ok Verifyio.Model.builtin
     else Result.map (fun m -> [ m ]) (resolve_model model_name)
   in
-  match List.map verify_one models with
-  | statuses ->
-    if List.mem `Races statuses then 2
-    else if List.mem `Partial statuses then 5
-    else 0
+  (* One preparation serves every model, and one budget covers the run:
+     the shared stages once, then each model's checks, as for a serve
+     job. *)
+  let verify_models () =
+    let budget = Option.map Vio_util.Budget.create budget in
+    let p = prepare ~engine ~mode ~partial ~budget src in
+    List.map
+      (fun model ->
+        let o = Verifyio.Pipeline.verify_prepared ~model p in
+        if grouped then print_string (Verifyio.Report.grouped_report o)
+        else print_string (Verifyio.Report.race_report ~limit o);
+        print_string (Verifyio.Report.unmatched_table o);
+        print_string (Verifyio.Report.degradation_report o);
+        Printf.printf "engine: %s\n"
+          (Verifyio.Reach.engine_name o.Verifyio.Pipeline.engine_used);
+        let t = o.Verifyio.Pipeline.timings in
+        Printf.printf
+          "stages: read %.3fs, conflicts %.3fs, graph %.3fs, engine %.3fs, verify %.3fs\n\n"
+          t.Verifyio.Pipeline.t_read t.Verifyio.Pipeline.t_conflicts
+          t.Verifyio.Pipeline.t_graph t.Verifyio.Pipeline.t_engine
+          t.Verifyio.Pipeline.t_verify;
+        Verifyio.Pipeline.exit_code ~lenient ~partial o)
+      models
+  in
+  match reading verify_models with
+  | exits ->
+    let* exits = exits in
+    Verifyio.Pipeline.combine_exits exits
   | exception (Vio_util.Budget.Exhausted _ as e) ->
-    (match Vio_util.Budget.describe e with
-    | Some msg -> Printf.eprintf "%s\n" msg
-    | None -> ());
+    Option.iter prerr_endline (Vio_util.Budget.describe e);
     6
-  | exception Recorder.Codec.Malformed { line; byte; record; reason } ->
-    (* Only the fused file path decodes inside verify_one; the
-       materializing path surfaced decode errors from load_source_ext. *)
-    Printf.eprintf "cannot read trace (%s): %s\n"
-      (malformed_pos ~line ~byte ~record)
-      reason;
-    usage_error
-  | exception Verifyio.Estore.Malformed reason ->
-    Printf.eprintf "cannot read trace: %s\n" reason;
-    usage_error
 
 (* All-model summary of one source: a line per model plus, with
    [--grouped], the distinct racing call-chain pairs of each racy model.
    Deliberately timing-free so the output is deterministic (cram-locked
    in test/cli_report.t). *)
 let report_cmd source engine_name grouped =
-  let ( let* ) r f = match r with Ok v -> f v | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  in
   let* engine = resolve_engine engine_name in
-  (* File sources stream through the fused path; workloads materialize
-     their records as before. Either way the decoded store rides along in
-     each outcome, so the header counts come from it. *)
+  let* src = load source in
   let* outcomes =
-    if Sys.file_exists source then
-      match Verifyio.Pipeline.verify_shared_file ?engine source with
-      | outcomes -> Ok outcomes
-      | exception Recorder.Codec.Malformed { line; byte; record; reason } ->
-        Error
-          (Printf.sprintf "cannot read trace (%s): %s"
-             (malformed_pos ~line ~byte ~record)
-             reason)
-      | exception Verifyio.Estore.Malformed reason ->
-        Error ("cannot read trace: " ^ reason)
-    else
-      Result.map
-        (fun (nranks, records) ->
-          Verifyio.Pipeline.verify_shared ?engine ~nranks records)
-        (load_source source)
+    reading (fun () ->
+        let p =
+          prepare ~engine ~mode:Recorder.Diagnostic.Strict ~partial:false
+            ~budget:None src
+        in
+        List.map
+          (fun model -> (model, Verifyio.Pipeline.verify_prepared ~model p))
+          Verifyio.Model.builtin)
   in
-  let store =
+  (* The decoded store rides along in each outcome, so the header counts
+     come from it. *)
+  let decoded =
     match outcomes with
     | (_, o) :: _ -> o.Verifyio.Pipeline.decoded
     | [] -> assert false (* Model.builtin is never empty *)
   in
   Printf.printf "%s: %d ranks, %d records\n\n" source
-    (Verifyio.Estore.nranks store)
-    (Verifyio.Estore.length store);
+    (Verifyio.Estore.nranks decoded)
+    (Verifyio.Estore.length decoded);
   List.iter
     (fun (_, o) -> print_endline (Verifyio.Report.summary_line ~name:source o))
     outcomes;
@@ -519,25 +437,21 @@ let parse_domains = function
 
 (* ---- fuzz: differential testing against the naive oracle ---- *)
 
+(* The conflict-pair count, which every model's oracle verdict shares. *)
+let oracle_conflicts = function
+  | (_, (v : Verifyio.Oracle.verdict)) :: _ -> v.Verifyio.Oracle.conflicts
+  | [] -> 0
+
 (* One deterministic line summarizing a trace's oracle verdicts, printed
    per program (small runs) and per replayed corpus file. *)
-let oracle_line ~models ~label ~nranks records =
-  let oracle = Verifyio.Oracle.verify ~models ~nranks records in
-  let conflicts =
-    match oracle with
-    | (_, (v : Verifyio.Oracle.verdict)) :: _ -> v.Verifyio.Oracle.conflicts
-    | [] -> 0
-  in
-  let race_counts =
-    List.map
-      (fun (_, (v : Verifyio.Oracle.verdict)) ->
-        string_of_int (List.length v.Verifyio.Oracle.races))
-      oracle
-  in
+let oracle_line ~label ~nranks records oracle =
   Printf.printf "  %s: %d ranks, %d records, %d conflict pair(s), races %s\n"
-    label nranks (List.length records) conflicts
-    (String.concat "/" race_counts);
-  (conflicts, oracle)
+    label nranks (List.length records) (oracle_conflicts oracle)
+    (String.concat "/"
+       (List.map
+          (fun (_, (v : Verifyio.Oracle.verdict)) ->
+            string_of_int (List.length v.Verifyio.Oracle.races))
+          oracle))
 
 let racy_verdicts oracle =
   List.length
@@ -581,8 +495,9 @@ let fuzz_replay path domains models =
           (malformed_pos ~line ~byte ~record)
           reason
       | nranks, records ->
-        ignore (oracle_line ~models ~label:(Filename.basename f) ~nranks records);
-        let divs = Viogen.Diff.check ~models ~domains ~nranks records in
+        let oracle = Verifyio.Oracle.verify ~models ~nranks records in
+        oracle_line ~label:(Filename.basename f) ~nranks records oracle;
+        let divs = Viogen.Diff.check ~domains ~oracle ~nranks records in
         if divs <> [] then begin
           incr bad;
           print_divergences divs
@@ -609,19 +524,13 @@ let fuzz_generate seed count smoke shrink save_corpus domains models profile =
     let records = Viogen.Workload.run p in
     let nranks = p.Viogen.Workload.nranks in
     let oracle = Verifyio.Oracle.verify ~models ~nranks records in
-    let conflicts =
-      match oracle with
-      | (_, v) :: _ -> v.Verifyio.Oracle.conflicts
-      | [] -> 0
-    in
     total_records := !total_records + List.length records;
-    total_pairs := !total_pairs + conflicts;
+    total_pairs := !total_pairs + oracle_conflicts oracle;
     total_racy := !total_racy + racy_verdicts oracle;
     if verbose then
-      ignore
-        (oracle_line ~models ~label:(Printf.sprintf "seed %d" s) ~nranks records)
+      oracle_line ~label:(Printf.sprintf "seed %d" s) ~nranks records oracle
     else if (i + 1) mod 100 = 0 then Printf.printf "  %d/%d\n%!" (i + 1) count;
-    let divs = Viogen.Diff.check ~models ~domains ~nranks records in
+    let divs = Viogen.Diff.check ~domains ~oracle ~nranks records in
     if divs <> [] then begin
       divergent := s :: !divergent;
       Printf.printf "  seed %d: DIVERGENCE (%d disagreeing verdict(s))\n" s
@@ -740,10 +649,6 @@ let fuzz_resilience seed count smoke retries budget timeout_ms =
 
 let fuzz_cmd seed count smoke shrink replay save_corpus domains_spec
     models_spec profile_extended resilience retries budget timeout_ms =
-  let ( let* ) r f = match r with Ok v -> f v | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  in
   let* domains = parse_domains domains_spec in
   let domains =
     match domains with
@@ -787,10 +692,6 @@ let absolutize p =
 
 let serve_cmd failpoints root domains retries timeout_ms backoff_ms budget hwm
     crash_retries poll_ms once quiet =
-  let ( let* ) r f = match r with Ok v -> f v | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  in
   let* () = apply_failpoints failpoints in
   let* () =
     if retries < 0 then Error "retries must be >= 0"
@@ -831,10 +732,6 @@ let serve_cmd failpoints root domains retries timeout_ms backoff_ms budget hwm
 
 let submit_cmd root trace id model_name all_models lenient partial budget
     timeout_ms wait wait_ms =
-  let ( let* ) r f = match r with Ok v -> f v | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  in
   let* () =
     if not (Sys.file_exists trace) then
       Error (Printf.sprintf "no such trace file: %s" trace)
@@ -907,10 +804,6 @@ let submit_cmd root trace id model_name all_models lenient partial budget
   end
 
 let chaos_cmd root jobs kills seed domains quiet =
-  let ( let* ) r f = match r with Ok v -> f v | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  in
   let* () =
     if jobs < 1 then Error "jobs must be >= 1"
     else if kills < 0 then Error "kills must be >= 0"
@@ -928,10 +821,6 @@ let chaos_cmd root jobs kills seed domains quiet =
   if r.Serve.Chaos.violations = [] then 0 else 4
 
 let torture_cmd seeds base_seed root smoke quiet =
-  let ( let* ) r f = match r with Ok v -> f v | Error e ->
-    Printf.eprintf "%s\n" e;
-    usage_error
-  in
   let* () = if seeds < 1 then Error "seeds must be >= 1" else Ok () in
   let seeds = if smoke then 1 else seeds in
   let cfg = { Serve.Torture.seeds; base_seed; root; quiet } in
@@ -1016,7 +905,11 @@ let model_arg =
   Arg.(
     value & opt string "POSIX"
     & info [ "m"; "model" ] ~docv:"MODEL"
-        ~doc:"Consistency model: POSIX, Commit, Session or MPI-IO.")
+        ~doc:
+          "Consistency model: any registered name or alias, \
+           case-insensitively (POSIX, Commit, Session, MPI-IO, \
+           Close-to-open, Commit-PS, MPI-IO-Atomic; $(b,verifyio models) \
+           lists the aliases).")
 
 let engine_arg =
   Arg.(
@@ -1068,10 +961,11 @@ let budget_arg =
     & opt (some int) None
     & info [ "budget" ] ~docv:"STEPS"
         ~doc:
-          "Deterministic step budget per verification pass (records \
-           decoded, conflict pairs, graph edges, nodes, synchronization \
-           checks all charge it). A pass that runs out is cut off; \
-           $(b,verify) exits 6.")
+          "Deterministic step budget for one run — a $(b,verify) \
+           invocation or one job (records decoded, conflict pairs, graph \
+           edges, nodes, synchronization checks all charge it). One \
+           budget covers the shared stages once, then each model's \
+           checks. A run that runs out is cut off; $(b,verify) exits 6.")
 
 let retries_arg =
   Arg.(

@@ -29,7 +29,8 @@ let () =
   List.iter
     (fun engine ->
       let o =
-        V.Pipeline.verify ~engine ~model:V.Model.mpi_io ~nranks records
+        V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+          (V.Pipeline.prepare ~engine ~nranks records)
       in
       let races =
         List.map

@@ -35,18 +35,17 @@ let () =
      the aggregator of the two-phase collective write.";
 
   print_endline "\n== Verification ==";
+  let p = V.Pipeline.prepare ~nranks:w.Workloads.Harness.nranks records in
   List.iter
-    (fun (m, (o : V.Pipeline.outcome)) ->
+    (fun (m : V.Model.t) ->
+      let o = V.Pipeline.verify_prepared ~model:m p in
       Printf.printf "  %-8s : %s\n" m.V.Model.name
         (if o.V.Pipeline.races = [] then "properly synchronized"
          else Printf.sprintf "%d data race(s)" o.V.Pipeline.race_count))
-    (V.Pipeline.verify_all_models ~nranks:w.Workloads.Harness.nranks records);
+    V.Model.builtin;
 
   print_endline "\n== One reported race, with the call chains ==";
-  let o =
-    V.Pipeline.verify ~model:V.Model.mpi_io
-      ~nranks:w.Workloads.Harness.nranks records
-  in
+  let o = V.Pipeline.verify_prepared ~model:V.Model.mpi_io p in
   print_string (V.Report.race_report ~limit:1 o);
   print_endline
     "\nBoth sides sit below library entry points (ncmpi_enddef vs\n\

@@ -100,18 +100,17 @@ let () =
       Printf.printf "== %s ==\n"
         (if proper then "Variant A: flush + close/reopen after preprocessing"
          else "Variant B: barrier-only hand-off");
-      let records = run_variant ~proper in
+      let p = V.Pipeline.prepare ~nranks (run_variant ~proper) in
       List.iter
-        (fun (m, (o : V.Pipeline.outcome)) ->
+        (fun (m : V.Model.t) ->
+          let o = V.Pipeline.verify_prepared ~model:m p in
           Printf.printf "  %-8s : %s\n" m.V.Model.name
             (if V.Pipeline.is_properly_synchronized o then "ok"
              else Printf.sprintf "%d race(s)" o.V.Pipeline.race_count))
-        (V.Pipeline.verify_all_models ~nranks records);
+        V.Model.builtin;
       (* Show the grouped diagnosis for the sloppy variant. *)
       if not proper then begin
-        let o =
-          V.Pipeline.verify ~model:V.Model.mpi_io ~nranks records
-        in
+        let o = V.Pipeline.verify_prepared ~model:V.Model.mpi_io p in
         print_newline ();
         print_string (V.Report.grouped_report o)
       end;

@@ -4,7 +4,6 @@ type job = {
   name : string;
   nranks : int;
   records : Recorder.Record.t list;
-  trace_file : string option;
   models : Model.t list;
   engine : Reach.engine option;
   mode : Recorder.Diagnostic.mode;
@@ -14,35 +13,15 @@ type job = {
   timeout_ms : int option;
 }
 
-let check_timeout = function
-  | Some ms when ms < 1 -> invalid_arg "Batch.job: timeout_ms must be positive"
-  | _ -> ()
-
 let job ?models ?engine ?(mode = Recorder.Diagnostic.Strict) ?(upstream = [])
     ?(partial = false) ?budget ?timeout_ms ~name ~nranks records =
-  check_timeout timeout_ms;
+  (match timeout_ms with
+  | Some ms when ms < 1 -> invalid_arg "Batch.job: timeout_ms must be positive"
+  | _ -> ());
   {
     name;
     nranks;
     records;
-    trace_file = None;
-    models = Option.value ~default:Model.builtin models;
-    engine;
-    mode;
-    upstream;
-    partial;
-    budget;
-    timeout_ms;
-  }
-
-let job_of_file ?models ?engine ?(mode = Recorder.Diagnostic.Strict)
-    ?(upstream = []) ?(partial = false) ?budget ?timeout_ms ~name path =
-  check_timeout timeout_ms;
-  {
-    name;
-    nranks = 0;
-    records = [];
-    trace_file = Some path;
     models = Option.value ~default:Model.builtin models;
     engine;
     mode;
@@ -80,17 +59,8 @@ let run_job j =
     | None, Some timeout_ms -> Some (Vio_util.Budget.timer ~timeout_ms ())
   in
   let p =
-    match j.trace_file with
-    | Some path ->
-      (* File-backed job: the fused streaming path decodes straight into
-         Estore columns on this worker domain — the job record never holds
-         the trace's records, so a large trace costs one domain's store,
-         not a shared Record.t list. *)
-      Pipeline.prepare_file ?engine:j.engine ~mode:j.mode ~upstream:j.upstream
-        ~partial:j.partial ?budget path
-    | None ->
-      Pipeline.prepare ?engine:j.engine ~mode:j.mode ~upstream:j.upstream
-        ~partial:j.partial ?budget ~nranks:j.nranks j.records
+    Pipeline.prepare ?engine:j.engine ~mode:j.mode ~upstream:j.upstream
+      ~partial:j.partial ?budget ~nranks:j.nranks j.records
   in
   let outcomes =
     List.map (fun m -> (m, Pipeline.verify_prepared ~model:m p)) j.models
@@ -100,22 +70,22 @@ let run_job j =
   M.observe "batch/job_wall" wall;
   { job = j; outcomes; wall }
 
-let run ?domains jobs =
-  let ndomains = effective_domains domains in
+(* The one worker pool: map [f] over [jobs] on up to [ndomains] domains,
+   results in job order. Each worker claims the next unclaimed job from a
+   shared counter; claims are atomic, every job runs on exactly one
+   domain, and its result lands in its job's slot — so the output order
+   (and, since each job is deterministic, its content) is independent of
+   scheduling. *)
+let pool ~ndomains f jobs =
   let arr = Array.of_list jobs in
   let n = Array.length arr in
-  let results : (result, exn) Stdlib.result option array = Array.make n None in
-  (* Shared-counter task queue: each worker claims the next unclaimed job.
-     Claims are atomic, every job runs on exactly one domain, and the
-     result lands in its job's slot — so the output order (and, since each
-     job is deterministic, its content) is independent of scheduling. *)
+  let results = Array.make n None in
   let next = Atomic.make 0 in
   let worker _w =
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        (results.(i) <-
-           Some (try Ok (run_job arr.(i)) with exn -> Error exn));
+        results.(i) <- Some (f arr.(i));
         loop ()
       end
     in
@@ -133,19 +103,20 @@ let run ?domains jobs =
   if failures <> [] then begin
     Vio_util.Supervisor.note_fallback ~tag:"batch.worker" failures;
     Array.iteri
-      (fun i slot ->
-        if slot = None then
-          results.(i) <-
-            Some (try Ok (run_job arr.(i)) with exn -> Error exn))
+      (fun i slot -> if Option.is_none slot then results.(i) <- Some (f arr.(i)))
       results
   end;
   Array.to_list
     (Array.map
        (function
-         | Some (Ok r) -> r
-         | Some (Error exn) -> raise exn
+         | Some r -> r
          | None -> assert false (* every index below [n] was claimed *))
        results)
+
+let run ?domains jobs =
+  let ndomains = effective_domains domains in
+  pool ~ndomains (fun j -> try Ok (run_job j) with exn -> Error exn) jobs
+  |> List.map (function Ok r -> r | Error exn -> raise exn)
 
 type status =
   | Done of (Model.t * Pipeline.outcome) list
@@ -234,40 +205,7 @@ let run_isolated ?domains ?(retries = 1) ?timeout_ms ?(backoff_ms = 0) jobs =
         | None -> { j with timeout_ms = Some default_ms })
       jobs
   in
-  let arr = Array.of_list jobs in
-  let n = Array.length arr in
-  let results : isolated option array = Array.make n None in
-  let next = Atomic.make 0 in
-  let worker _w =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (run_isolated_job ~retries ~backoff_ms arr.(i));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let failures =
-    if ndomains = 1 || n <= 1 then (worker 0; [])
-    else
-      Vio_util.Supervisor.run_workers ~tag:"batch.worker"
-        ~domains:(min ndomains n) worker
-  in
-  if failures <> [] then begin
-    Vio_util.Supervisor.note_fallback ~tag:"batch.worker" failures;
-    Array.iteri
-      (fun i slot ->
-        if slot = None then
-          results.(i) <- Some (run_isolated_job ~retries ~backoff_ms arr.(i)))
-      results
-  end;
-  Array.to_list
-    (Array.map
-       (function
-         | Some r -> r
-         | None -> assert false (* every index below [n] was claimed *))
-       results)
+  pool ~ndomains (run_isolated_job ~retries ~backoff_ms) jobs
 
 let quarantined isolated =
   List.filter

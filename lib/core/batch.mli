@@ -24,18 +24,13 @@
 
 type job = {
   name : string;  (** label for reports; not interpreted *)
-  nranks : int;  (** 0 for file-backed jobs (read from the trace header) *)
-  records : Recorder.Record.t list;
-      (** the raw trace; empty for file-backed jobs *)
-  trace_file : string option;
-      (** when set, the worker ignores [records]/[nranks] and streams the
-          trace from this file via the fused {!Pipeline.prepare_file}
-          path (format auto-detected) *)
+  nranks : int;  (** the trace's rank count *)
+  records : Recorder.Record.t list;  (** the raw trace *)
   models : Model.t list;  (** models to verify, in output order *)
   engine : Reach.engine option;  (** [None] = dynamic selection *)
   mode : Recorder.Diagnostic.mode;
   upstream : Recorder.Diagnostic.t list;
-      (** pre-decode diagnostics, as in {!Pipeline.verify} *)
+      (** pre-decode diagnostics, as in {!Pipeline.prepare} *)
   partial : bool;  (** partial MPI matching, as in {!Pipeline.prepare} *)
   budget : int option;
       (** per-attempt step budget ({!Pipeline.prepare}'s stage charges);
@@ -61,27 +56,6 @@ val job :
   job
 (** Job constructor; [models] defaults to {!Model.builtin}, [partial] to
     false, [budget] and [timeout_ms] to unbounded.
-    @raise Invalid_argument if [timeout_ms] is [< 1]. *)
-
-val job_of_file :
-  ?models:Model.t list ->
-  ?engine:Reach.engine ->
-  ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
-  ?partial:bool ->
-  ?budget:int ->
-  ?timeout_ms:int ->
-  name:string ->
-  string ->
-  job
-(** A file-backed job: the worker domain that claims it streams the trace
-    from disk through {!Pipeline.prepare_file} (text or binary,
-    auto-detected), so the job list never materializes the records and a
-    multi-million-record trace costs memory only on the domain verifying
-    it. Decode failures surface exactly like record-job pipeline failures
-    ({!run} re-raises; {!run_isolated} retries then quarantines — a
-    [Sys_error] or strict {!Recorder.Codec.Malformed} quarantines the job
-    rather than killing the batch).
     @raise Invalid_argument if [timeout_ms] is [< 1]. *)
 
 type result = {

@@ -251,14 +251,13 @@ let prepare ?engine ?(mode = D.Strict) ?(upstream = []) ?(partial = false)
   prepare_store ?engine ~mode ~upstream ~partial ?budget ~t_read
     ~n_decoded:(List.length records) d
 
-let prepare_file ?engine ?(mode = D.Strict) ?(upstream = []) ?(partial = false)
-    ?budget path =
+let prepare_file ?engine ?(mode = D.Strict) ?(partial = false) ?budget path =
   (* Fused ingest: the trace streams straight from disk into Estore
      columns via [Codec.fold_records] (text or binary, auto-detected) —
      no [Record.t list] is ever materialized, so peak memory is bounded
      by the store itself, not the trace length. *)
   let t_read, d = timed (fun () -> Estore.of_file ~mode path) in
-  prepare_store ?engine ~mode ~upstream ~partial ?budget ~t_read
+  prepare_store ?engine ~mode ~upstream:[] ~partial ?budget ~t_read
     ~n_decoded:(Estore.length d) d
 
 let verify_prepared ?(pruning = true) ~model p =
@@ -305,30 +304,6 @@ let verify_prepared ?(pruning = true) ~model p =
     degradation = p.p_degradation;
   }
 
-let verify ?engine ?(pruning = true) ?(mode = D.Strict) ?(upstream = [])
-    ?partial ?budget ~model ~nranks records =
-  let p = prepare ?engine ~mode ~upstream ?partial ?budget ~nranks records in
-  verify_prepared ~pruning ~model p
-
-let verify_all_models ?engine ?(models = Model.builtin) ~nranks records =
-  List.map (fun model -> (model, verify ?engine ~model ~nranks records)) models
-
-let verify_shared ?engine ?(pruning = true) ?(mode = D.Strict)
-    ?(upstream = []) ?partial ?budget ?(models = Model.builtin) ~nranks
-    records =
-  let p = prepare ?engine ~mode ~upstream ?partial ?budget ~nranks records in
-  List.map (fun model -> (model, verify_prepared ~pruning ~model p)) models
-
-let verify_file ?engine ?(pruning = true) ?(mode = D.Strict) ?(upstream = [])
-    ?partial ?budget ~model path =
-  let p = prepare_file ?engine ~mode ~upstream ?partial ?budget path in
-  verify_prepared ~pruning ~model p
-
-let verify_shared_file ?engine ?(pruning = true) ?(mode = D.Strict)
-    ?(upstream = []) ?partial ?budget ?(models = Model.builtin) path =
-  let p = prepare_file ?engine ~mode ~upstream ?partial ?budget path in
-  List.map (fun model -> (model, verify_prepared ~pruning ~model p)) models
-
 let is_properly_synchronized o = o.races = [] && o.unmatched = []
 
 let is_degraded o =
@@ -339,3 +314,14 @@ let verified_under_partial_order o = o.races = [] && o.inventory <> []
 let definite_races o =
   List.filter (fun (r : Verify.race) -> r.Verify.confidence = Verify.Definite)
     o.races
+
+let exit_code ~lenient ~partial o =
+  let ok =
+    if lenient then definite_races o = []
+    else if partial then o.race_count = 0
+    else is_properly_synchronized o
+  in
+  if not ok then 2 else if o.inventory <> [] then 5 else 0
+
+let combine_exits exits =
+  if List.mem 2 exits then 2 else if List.mem 5 exits then 5 else 0

@@ -6,16 +6,16 @@
     (§IV-C) → prepare the happens-before engine (§IV-D, e.g. generate
     vector clocks) → verify (§IV-D, Fig. 3 pruning).
 
-    Two entry points cover the two cost profiles:
-
-    - {!verify} runs all five stages for one model — the paper's exact
-      measurement unit (each Table IV column is one such run).
-    - {!prepare} runs the four model-independent stages once and returns a
-      {!prepared} value from which {!verify_prepared} derives a per-model
-      verdict; the decoded trace, conflict groups, happens-before graph
-      and engine state are shared across models. {!verify_shared} bundles
-      the two. Verdicts are bit-identical to {!verify} (property-tested) —
-      every shared stage is deterministic and model-independent.
+    Three entry points run it. The first four stages do not depend on
+    the consistency model: {!prepare} (decoded records) or {!prepare_file}
+    (a trace file, streamed) runs them once and returns a {!prepared}
+    value. {!verify_prepared} then runs the verify stage for one model.
+    A run over several models is a [List.map] of {!verify_prepared} over
+    one [prepared], which shares the decoded trace, conflict groups,
+    happens-before graph and engine state. Verdicts do not depend on the
+    sharing: every stage is deterministic and model-independent. A caller
+    that needs per-model timings independent of each other (each Table IV
+    column is one such run) prepares once per model.
 
     In {!Recorder.Diagnostic.Lenient} mode the pipeline degrades
     gracefully instead of raising: every stage absorbs what it cannot
@@ -89,8 +89,8 @@ type prepared
     operations, conflict groups, MPI matching, happens-before graph,
     prepared happens-before engine, sync-op index, degradation summary and
     the four preparation-stage timings. Sharing one [prepared] across the
-    four builtin models does ~4× less stage work than four {!verify} calls
-    — the batch engine's core saving (see {!Batch}).
+    four builtin models does ~4× less stage work than preparing once per
+    model — the batch engine's core saving (see {!Batch}).
 
     A [prepared] value must be used from one domain at a time: the
     happens-before engine inside it memoizes and counts queries. *)
@@ -105,10 +105,16 @@ val prepare :
   Recorder.Record.t list ->
   prepared
 (** Run the four model-independent stages (read, conflicts, graph, engine)
-    on raw trace records. Parameters are those of {!verify} minus the
-    model. When [engine] is omitted it is selected from the graph size and
-    conflict count ({!Reach.recommend}); the choice applies to every model
-    verified from this [prepared].
+    on raw trace records. When [engine] is omitted it is selected from the
+    graph size and conflict count ({!Reach.recommend}, the paper's planned
+    extension); the choice applies to every model verified from this
+    [prepared] and is reported in each outcome's [engine_used].
+
+    [mode] defaults to strict: any internal inconsistency raises
+    {!Estore.Malformed}. With [~mode:Lenient] the pipeline never raises on
+    a degraded trace. [upstream] carries diagnostics already collected by
+    an earlier stage (typically a lenient {!Recorder.Codec.decode_ext});
+    they join the degradation summary and taint the ranks they name.
 
     [partial] (default false) enables partial MPI matching: unmatched
     calls are recorded in the structured inventory instead of tainting the
@@ -121,12 +127,13 @@ val prepare :
     (decode: records; conflicts: pairs; graph: edges; engine: nodes;
     verify: properly-synchronized checks) and the pipeline aborts with
     {!Vio_util.Budget.Exhausted} when it runs out — the supervisor's
-    defense against pathological traces. *)
+    defense against pathological traces. The [prepared] value keeps the
+    budget, so one budget covers the shared stages once and then every
+    model verified from it. *)
 
 val prepare_file :
   ?engine:Reach.engine ->
   ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
   ?partial:bool ->
   ?budget:Vio_util.Budget.t ->
   string ->
@@ -138,8 +145,7 @@ val prepare_file :
     than scaling with an intermediate per-record structure. This is the
     path to use for large on-disk traces; verdicts are byte-identical to
     reading the file and calling {!prepare} (the golden-digest gate locks
-    this). Codec diagnostics arrive through the store, so [upstream] is
-    only for faults collected before the file existed.
+    this). Codec diagnostics arrive through the store.
 
     In strict mode raises {!Recorder.Codec.Malformed} on undecodable
     input and [Sys_error] if the file cannot be read. *)
@@ -150,82 +156,6 @@ val verify_prepared :
     stage runs; the outcome's read/conflicts/graph/engine timings are the
     shared preparation's (identical across models of one [prepared]), and
     [t_total] is preparation plus this model's verification. *)
-
-val verify :
-  ?engine:Reach.engine ->
-  ?pruning:bool ->
-  ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
-  ?partial:bool ->
-  ?budget:Vio_util.Budget.t ->
-  model:Model.t ->
-  nranks:int ->
-  Recorder.Record.t list ->
-  outcome
-(** Run the full pipeline on raw trace records — equivalent to {!prepare}
-    followed by {!verify_prepared}. When [engine] is omitted it is
-    selected dynamically from the graph size and conflict count
-    ({!Reach.recommend}, the paper's planned extension); the choice is
-    reported in [engine_used].
-
-    [mode] defaults to strict: any internal inconsistency raises
-    {!Estore.Malformed}. With [~mode:Lenient] the pipeline never raises on a
-    degraded trace. [upstream] carries diagnostics already collected by an
-    earlier stage (typically a lenient {!Recorder.Codec.decode_ext}); they
-    join the degradation summary and taint the ranks they name. *)
-
-val verify_all_models :
-  ?engine:Reach.engine ->
-  ?models:Model.t list ->
-  nranks:int ->
-  Recorder.Record.t list ->
-  (Model.t * outcome) list
-(** One {e independent} pass per model (default {!Model.builtin}),
-    sharing nothing — each timed end-to-end, re-deriving the trace
-    artifacts every time. This is the sequential baseline the differential
-    tests compare the batch engine against; prefer {!verify_shared} when
-    the timings need not be independent. *)
-
-val verify_shared :
-  ?engine:Reach.engine ->
-  ?pruning:bool ->
-  ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
-  ?partial:bool ->
-  ?budget:Vio_util.Budget.t ->
-  ?models:Model.t list ->
-  nranks:int ->
-  Recorder.Record.t list ->
-  (Model.t * outcome) list
-(** One {!prepare} shared by every model in [models] (default
-    {!Model.builtin}, in the paper's order). Verdicts are identical to
-    {!verify_all_models}; only the cost differs. *)
-
-val verify_file :
-  ?engine:Reach.engine ->
-  ?pruning:bool ->
-  ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
-  ?partial:bool ->
-  ?budget:Vio_util.Budget.t ->
-  model:Model.t ->
-  string ->
-  outcome
-(** {!verify} over a trace file via the fused {!prepare_file} path. *)
-
-val verify_shared_file :
-  ?engine:Reach.engine ->
-  ?pruning:bool ->
-  ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
-  ?partial:bool ->
-  ?budget:Vio_util.Budget.t ->
-  ?models:Model.t list ->
-  string ->
-  (Model.t * outcome) list
-(** {!verify_shared} over a trace file via the fused {!prepare_file}
-    path: decode, conflicts, graph and engine run once, streamed from
-    disk, then every model verifies against the shared artifacts. *)
 
 val is_properly_synchronized : outcome -> bool
 (** No races and no unmatched MPI calls (Def. 8). *)
@@ -241,3 +171,14 @@ val verified_under_partial_order : outcome -> bool
 
 val definite_races : outcome -> Verify.race list
 (** The races whose verdicts do not rest on degraded trace regions. *)
+
+val exit_code : lenient:bool -> partial:bool -> outcome -> int
+(** The exit status of one model's verdict, shared by [verifyio verify]
+    and the cached verdicts of [verifyio serve]: 0 clean, 2 races, 5
+    race-free modulo a non-empty unmatched inventory. Under [lenient]
+    only {!definite_races} count; under [partial] unmatched calls
+    downgrade the verdict to 5 instead of failing it. *)
+
+val combine_exits : int list -> int
+(** The exit status of a run over several models: any 2 dominates, then
+    5, then 0. *)

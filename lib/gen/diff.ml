@@ -33,13 +33,20 @@ let subject_names ~domains =
   @ List.map (fun k -> Printf.sprintf "batch:%d" k) domains
 
 let subjects ~models ~domains ~nranks records : (string * verdict list) list =
+  let verify_all p =
+    of_outcomes (List.map (fun m -> (m, P.verify_prepared ~model:m p)) models)
+  in
+  let shared engine = verify_all (P.prepare ?engine ~nranks records) in
   List.map
-    (fun e ->
-      ( "engine:" ^ V.Reach.engine_name e,
-        of_outcomes (P.verify_shared ~engine:e ~models ~nranks records) ))
+    (fun e -> ("engine:" ^ V.Reach.engine_name e, shared (Some e)))
     V.Reach.all_engines
-  @ [ ("sequential", of_outcomes (P.verify_all_models ~models ~nranks records));
-      ("shared", of_outcomes (P.verify_shared ~models ~nranks records)) ]
+  @ [ ( "sequential",
+        (* One prepare per model: independent of the shared path. *)
+        of_outcomes
+          (List.map
+             (fun m -> (m, P.verify_prepared ~model:m (P.prepare ~nranks records)))
+             models) );
+      ("shared", shared None) ]
   @ List.map
       (fun k ->
         let results =
@@ -65,13 +72,14 @@ let pp_divergence fmt d =
   Format.fprintf fmt "subject %s model %s:@.  oracle %s@.  got    %s" d.subject
     d.model d.expected d.got
 
-let check ?mutation ?(models = V.Model.builtin) ?(domains = default_domains)
-    ~nranks records =
+let check ?mutation ?(domains = default_domains) ~oracle ~nranks records =
+  let models = List.map fst oracle in
   let oracle =
-    V.Oracle.verify ~models ~nranks records
-    |> List.map (fun ((m : V.Model.t), (v : V.Oracle.verdict)) ->
-           (m.V.Model.name, v.V.Oracle.races, v.V.Oracle.conflicts,
-            v.V.Oracle.unmatched))
+    List.map
+      (fun ((m : V.Model.t), (v : V.Oracle.verdict)) ->
+        (m.V.Model.name, v.V.Oracle.races, v.V.Oracle.conflicts,
+         v.V.Oracle.unmatched))
+      oracle
   in
   let applies subject =
     match mutation with
@@ -99,7 +107,10 @@ let check ?mutation ?(models = V.Model.builtin) ?(domains = default_domains)
            verdicts)
 
 let check_program ?mutation ?models ?domains (p : Workload.program) =
-  check ?mutation ?models ?domains ~nranks:p.Workload.nranks (Workload.run p)
+  let nranks = p.Workload.nranks and records = Workload.run p in
+  check ?mutation ?domains
+    ~oracle:(V.Oracle.verify ?models ~nranks records)
+    ~nranks records
 
 let shrink ?(budget = 400) ~interesting (p : Workload.program) =
   let remove (q : Workload.program) lo n =

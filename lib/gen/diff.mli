@@ -2,17 +2,18 @@
     the naive {!Verifyio.Oracle}, plus greedy shrinking of programs
     whose verdicts diverge.
 
-    One {!check} compares, per model (default the builtin four; any
-    registry subset via [?models]), the race-pair set,
+    One {!check} compares, per model of the oracle verdicts it is given
+    (the builtin four, or any registry subset), the race-pair set,
     conflict-pair count and unmatched-MPI count of each subject against
     the oracle's:
 
-    - [engine:<name>] — {!Verifyio.Pipeline.verify_shared} pinned to
-      each of the four {!Verifyio.Reach} engines;
-    - [sequential] — {!Verifyio.Pipeline.verify_all_models}, the
-      nothing-shared per-model baseline;
-    - [shared] — {!Verifyio.Pipeline.verify_shared} with dynamic engine
-      selection;
+    - [engine:<name>] — one {!Verifyio.Pipeline.prepare} pinned to each
+      {!Verifyio.Reach} engine, then {!Verifyio.Pipeline.verify_prepared}
+      for every model;
+    - [sequential] — one {!Verifyio.Pipeline.prepare} per model, the
+      nothing-shared baseline;
+    - [shared] — one {!Verifyio.Pipeline.prepare} with dynamic engine
+      selection, shared by every model;
     - [batch:<k>] — {!Verifyio.Batch.run} at every domain count in
       [domains] (default 1–4).
 
@@ -43,14 +44,16 @@ val subject_names : domains:int list -> string list
 
 val check :
   ?mutation:mutation ->
-  ?models:Verifyio.Model.t list ->
   ?domains:int list ->
+  oracle:(Verifyio.Model.t * Verifyio.Oracle.verdict) list ->
   nranks:int ->
   Recorder.Record.t list ->
   divergence list
-(** Empty means every subject agreed with the oracle on every model.
-    Strict decoding; raises like the pipeline would on a malformed
-    trace (generated traces never are). *)
+(** Check every subject against [oracle], the {!Verifyio.Oracle.verify}
+    verdicts of these records, on the oracle's models. Empty means every
+    subject agreed with the oracle on every model. Strict decoding;
+    raises like the pipeline would on a malformed trace (generated
+    traces never are). *)
 
 val check_program :
   ?mutation:mutation ->
@@ -58,7 +61,8 @@ val check_program :
   ?domains:int list ->
   Workload.program ->
   divergence list
-(** {!Workload.run} then {!check}. *)
+(** {!Workload.run}, {!Verifyio.Oracle.verify} on [models] (default the
+    builtin four), then {!check}. *)
 
 val shrink :
   ?budget:int ->

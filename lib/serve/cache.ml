@@ -31,16 +31,6 @@ let store ~dir ~key contents =
 
 let max_race_pairs = 500
 
-let exit_code ~lenient ~partial (o : Verifyio.Pipeline.outcome) =
-  let ok =
-    if lenient then Verifyio.Pipeline.definite_races o = []
-    else if partial then o.Verifyio.Pipeline.race_count = 0
-    else Verifyio.Pipeline.is_properly_synchronized o
-  in
-  if not ok then 2
-  else if o.Verifyio.Pipeline.inventory <> [] then 5
-  else 0
-
 let confidence_name = function
   | Verifyio.Verify.Definite -> "definite"
   | Verifyio.Verify.Under_partial_order -> "under_partial_order"
@@ -92,7 +82,7 @@ let verdict_json ~flags ~trace_sha256 ~lenient ~partial
             ( "race_pairs_truncated",
               J.Bool (o.Verifyio.Pipeline.race_count > max_race_pairs) );
           ] );
-      ("exit", J.Int (exit_code ~lenient ~partial o));
+      ("exit", J.Int (Verifyio.Pipeline.exit_code ~lenient ~partial o));
     ]
 
 let render doc = J.to_string doc ^ "\n"

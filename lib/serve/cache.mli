@@ -54,13 +54,8 @@ val verdict_json :
 (** The canonical cached-verdict document for one model's outcome:
     verdict counters, per-race pairs with confidence (capped at
     {!max_race_pairs} with an explicit truncation marker), and the
-    verify-style exit code ({!exit_code}). Deterministic — contains no
-    timings. *)
-
-val exit_code : lenient:bool -> partial:bool -> Verifyio.Pipeline.outcome -> int
-(** The per-model exit status, mirroring [verifyio verify]: 0 clean, 2
-    races (definite races only under [lenient]), 5 race-free modulo a
-    non-empty unmatched inventory. *)
+    verify-style exit code ({!Verifyio.Pipeline.exit_code}).
+    Deterministic — contains no timings. *)
 
 val max_race_pairs : int
 (** Cap on the per-race listing inside an entry (500). *)

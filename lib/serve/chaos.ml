@@ -125,11 +125,7 @@ let spec ~id ~trace ?budget () =
     timeout_ms = None;
   }
 
-(* Fresh, sequential, in-process ground truth for one (spec, model):
-   decode + Pipeline.verify, rendered through the very same
-   Cache.verdict_json the daemon uses. Byte-compare against the entry. *)
-let fresh_entry (s : Spool.jobspec) ~trace_sha256 ~flags
-    (model : Verifyio.Model.t) =
+let fresh_entry (s : Spool.jobspec) (model : Verifyio.Model.t) =
   let mode =
     if s.Spool.lenient then Recorder.Diagnostic.Lenient
     else Recorder.Diagnostic.Strict
@@ -138,14 +134,16 @@ let fresh_entry (s : Spool.jobspec) ~trace_sha256 ~flags
     Recorder.Codec.decode_ext ~mode (Recorder.Codec.read_file s.Spool.trace)
   in
   let budget = Option.map Vio_util.Budget.create s.Spool.budget in
-  let outcome =
-    Verifyio.Pipeline.verify ~mode ~upstream:dec.Recorder.Codec.diagnostics
-      ~partial:s.Spool.partial ?budget ~model
-      ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records
+  let p =
+    Verifyio.Pipeline.prepare ~mode ~upstream:dec.Recorder.Codec.diagnostics
+      ~partial:s.Spool.partial ?budget ~nranks:dec.Recorder.Codec.nranks
+      dec.Recorder.Codec.records
   in
   Cache.render
-    (Cache.verdict_json ~flags ~trace_sha256 ~lenient:s.Spool.lenient
-       ~partial:s.Spool.partial ~model outcome)
+    (Cache.verdict_json ~flags:(Spool.flags_string s)
+       ~trace_sha256:(Vio_util.Sha256.digest_file s.Spool.trace)
+       ~lenient:s.Spool.lenient ~partial:s.Spool.partial ~model
+       (Verifyio.Pipeline.verify_prepared ~model p))
 
 let run cfg =
   if cfg.jobs < 1 then invalid_arg "Chaos.run: jobs < 1";
@@ -252,7 +250,7 @@ let run cfg =
                 violation "%s/%s: done but no cache entry" s.Spool.id
                   model.Verifyio.Model.name
               | Some entry ->
-                let fresh = fresh_entry s ~trace_sha256 ~flags model in
+                let fresh = fresh_entry s model in
                 if not (String.equal entry fresh) then
                   violation
                     "%s/%s: cache entry diverges from fresh sequential run"

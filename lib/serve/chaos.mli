@@ -17,9 +17,8 @@
       ([done], [timed_out] or [quarantined] — never lost, never
       duplicated);
     - {b byte-identity}: for every [done] job and model, the cache
-      entry's bytes equal a fresh, sequential, in-process
-      {!Verifyio.Pipeline.verify} rendered through the same
-      {!Cache.verdict_json} — recovery must not perturb verdicts;
+      entry's bytes equal {!fresh_entry} — recovery must not perturb
+      verdicts;
     - {b warm cache}: resubmitting every [done] job under a fresh id
       is answered entirely from the cache ([r_cached = true]).
 
@@ -53,6 +52,14 @@ type report = {
   warm_total : int;
   violations : string list;  (** empty = the contract held *)
 }
+
+val fresh_entry : Spool.jobspec -> Verifyio.Model.t -> string
+(** The ground-truth cache entry for one job and model: the job's trace
+    decoded and verified in process, sequentially, under the job's
+    flags and step budget, and rendered through the same
+    {!Cache.verdict_json} the daemon uses. It runs through neither
+    {!Daemon} nor {!Verifyio.Batch}, because the chaos and torture
+    campaigns byte-compare their entries against it. *)
 
 val run : config -> report
 (** Execute the campaign. @raise Invalid_argument on a non-positive

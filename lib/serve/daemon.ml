@@ -121,13 +121,13 @@ let quarantine st (spec : Spool.jobspec) ~attempts ~error =
       r_verdicts = [];
     }
 
-(* The job-level exit code from per-model ones: any races (2) dominate,
-   then partial verification (5), then clean (0). *)
-let combine_exits exits =
-  if List.mem 2 exits then 2 else if List.mem 5 exits then 5 else 0
-
-let entry_exit doc =
-  Option.value ~default:0 (Option.bind (J.member "exit" doc) J.to_int)
+(* A job's exit code, from the per-model codes its verdicts carry. *)
+let verdicts_exit verdicts =
+  Verifyio.Pipeline.combine_exits
+    (List.map
+       (fun (_, doc) ->
+         Option.value ~default:0 (Option.bind (J.member "exit" doc) J.to_int))
+       verdicts)
 
 (* A fully cache-resident job: answer without decoding anything. Takes
    the resolved models — keys depend on each model's definition digest,
@@ -162,7 +162,7 @@ let try_cache st ~models ~trace_sha256 ~flags =
 let respond_cached st (spec : Spool.jobspec) ~attempts verdicts =
   st.c_cache_hits <- st.c_cache_hits + 1;
   M.incr "serve/cache_hits";
-  let exit = combine_exits (List.map (fun (_, d) -> entry_exit d) verdicts) in
+  let exit = verdicts_exit verdicts in
   log st (Printf.sprintf "%s: done (cached, exit %d)" spec.Spool.id exit);
   finish st
     {
@@ -318,9 +318,7 @@ let finish_chunk st ready isolated =
               (model.Verifyio.Model.name, doc))
             outcomes
         in
-        let exit =
-          combine_exits (List.map (fun (_, d) -> entry_exit d) verdicts)
-        in
+        let exit = verdicts_exit verdicts in
         log st
           (Printf.sprintf "%s: done (%d model(s), exit %d)" spec.Spool.id
              (List.length verdicts) exit);

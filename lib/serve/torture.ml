@@ -96,27 +96,31 @@ let shared_digest pairs =
 
 let codec_path ~mode path () =
   let dec = Recorder.Codec.decode_ext ~mode (Recorder.Codec.read_file path) in
-  shared_digest
-    (Verifyio.Pipeline.verify_shared ~mode
-       ~upstream:dec.Recorder.Codec.diagnostics ~models:[ m0 ]
-       ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records)
+  let p =
+    Verifyio.Pipeline.prepare ~mode ~upstream:dec.Recorder.Codec.diagnostics
+      ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records
+  in
+  shared_digest [ (m0, Verifyio.Pipeline.verify_prepared ~model:m0 p) ]
 
+(* The batch scenarios inject [batch.worker] faults, not [codec.read]
+   ones, so their jobs carry records decoded before any fault is armed. *)
 let batch_jobs ~bin ~txt =
-  List.init 3 (fun i ->
-      Verifyio.Batch.job_of_file ~models:[ m0 ]
-        ~name:(Printf.sprintf "tj%d" i)
-        (if i = 1 then txt else bin))
+  let job i path =
+    let nranks, records = Recorder.Codec.of_file path in
+    Verifyio.Batch.job ~models:[ m0 ] ~name:(Printf.sprintf "tj%d" i) ~nranks
+      records
+  in
+  [ job 0 bin; job 1 txt; job 2 bin ]
 
-let batch_path ~bin ~txt () =
-  Verifyio.Batch.run ~domains:2 (batch_jobs ~bin ~txt)
+let batch_path jobs () =
+  Verifyio.Batch.run ~domains:2 jobs
   |> List.map (fun (r : Verifyio.Batch.result) ->
          r.Verifyio.Batch.job.Verifyio.Batch.name ^ "="
          ^ shared_digest r.Verifyio.Batch.outcomes)
   |> String.concat "/"
 
-let isolated_path ~bin ~txt () =
-  Verifyio.Batch.run_isolated ~domains:2 ~retries:3 ~backoff_ms:1
-    (batch_jobs ~bin ~txt)
+let isolated_path jobs () =
+  Verifyio.Batch.run_isolated ~domains:2 ~retries:3 ~backoff_ms:1 jobs
   |> List.map (fun (i : Verifyio.Batch.isolated) ->
          i.Verifyio.Batch.i_job.Verifyio.Batch.name ^ "="
          ^
@@ -180,28 +184,6 @@ let cache_has_tmp cache =
        (fun sub -> dir_has_tmp (Filename.concat cache sub))
        (Sys.readdir cache)
 
-(* Fresh, sequential, fault-free ground truth for one (spec, model) —
-   the very bytes a clean daemon would cache (the chaos harness's
-   strongest assertion, reused against injected crashes). *)
-let fresh_entry (s : Spool.jobspec) (model : Verifyio.Model.t) =
-  let mode =
-    if s.Spool.lenient then Recorder.Diagnostic.Lenient
-    else Recorder.Diagnostic.Strict
-  in
-  let dec =
-    Recorder.Codec.decode_ext ~mode (Recorder.Codec.read_file s.Spool.trace)
-  in
-  let trace_sha256 = Vio_util.Sha256.digest_file s.Spool.trace in
-  let flags = Spool.flags_string s in
-  let outcome =
-    Verifyio.Pipeline.verify ~mode ~upstream:dec.Recorder.Codec.diagnostics
-      ~partial:s.Spool.partial ~model ~nranks:dec.Recorder.Codec.nranks
-      dec.Recorder.Codec.records
-  in
-  Cache.render
-    (Cache.verdict_json ~flags ~trace_sha256 ~lenient:s.Spool.lenient
-       ~partial:s.Spool.partial ~model outcome)
-
 let serve_scenario st ~scratch ~tag ~bin ~txt ~spec
     ?(expect_crash = false) ?(expect_degrade = false) () =
   st.n <- st.n + 1;
@@ -222,7 +204,7 @@ let serve_scenario st ~scratch ~tag ~bin ~txt ~spec
   in
   let jobs = [ job bin "a"; job txt "b" ] in
   List.iter (fun s -> ignore (Spool.submit spool s)) jobs;
-  let fresh = List.map (fun s -> (s, fresh_entry s m0)) jobs in
+  let fresh = List.map (fun s -> (s, Chaos.fresh_entry s m0)) jobs in
   let daemon_cfg =
     {
       (Daemon.default ~root) with
@@ -370,8 +352,9 @@ let run cfg =
     let base_bin_strict = codec_path ~mode:strict bin () in
     let base_bin_lenient = codec_path ~mode:lenient bin () in
     let base_txt_strict = codec_path ~mode:strict txt () in
-    let base_batch = batch_path ~bin ~txt () in
-    let base_isolated = isolated_path ~bin ~txt () in
+    let jobs = batch_jobs ~bin ~txt in
+    let base_batch = batch_path jobs () in
+    let base_isolated = isolated_path jobs () in
     let sc ~klass ~baseline ~path spec run =
       scenario st
         ~name:(Printf.sprintf "%s/%s/%s" tag path spec)
@@ -414,16 +397,14 @@ let run cfg =
     (* batch.worker: Batch.run surfaces the injected error (documented);
        Batch.run_isolated's retry loop absorbs it. *)
     sc ~klass:Documented ~baseline:base_batch ~path:"batch"
-      "batch.worker=fail@2"
-      (batch_path ~bin ~txt);
+      "batch.worker=fail@2" (batch_path jobs);
     sc ~klass:Exact ~baseline:base_batch ~path:"batch" "batch.worker=delay:1"
-      (batch_path ~bin ~txt);
+      (batch_path jobs);
     sc ~klass:Exact ~baseline:base_isolated ~path:"isolated"
-      "batch.worker=fail"
-      (isolated_path ~bin ~txt);
+      "batch.worker=fail" (isolated_path jobs);
     sc ~klass:No_crash ~baseline:base_isolated ~path:"isolated"
       (Printf.sprintf "batch.worker=prob:0.2:%d" (11 + seed))
-      (isolated_path ~bin ~txt);
+      (isolated_path jobs);
     (* The serve protocol: submit, injected-crash incarnation, clean
        recovery incarnation, full crash-safety contract. *)
     let serve ~spec = serve_scenario st ~scratch ~tag ~bin ~txt ~spec in

@@ -11,10 +11,10 @@
       [Estore.Malformed], [Sys_error], a budget overrun) — never an
       undocumented crash;
     - a daemon killed by an injected fault recovers on restart: every
-      job reaches a terminal response whose verdict bytes equal a fresh
-      sequential run's, no orphans remain in [incoming/] or [claimed/],
-      no [.tmp.*] staging debris survives, and the final journal replay
-      reports nothing unfinished.
+      job reaches a terminal response whose verdict bytes equal
+      {!Chaos.fresh_entry}'s, no orphans remain in [incoming/] or
+      [claimed/], no [.tmp.*] staging debris survives, and the final
+      journal replay reports nothing unfinished.
 
     Supervisor fallbacks are tallied but no scenario requires one: the
     only spawned domains are {!Verifyio.Batch}'s workers, and the

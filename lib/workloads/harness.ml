@@ -58,8 +58,10 @@ let run ?scale ?abort_rank w =
   Recorder.Trace.records trace
 
 let verify ?scale ?engine w =
-  let records = run ?scale w in
-  Verifyio.Pipeline.verify_shared ?engine ~nranks:w.nranks records
+  let p = Verifyio.Pipeline.prepare ?engine ~nranks:w.nranks (run ?scale w) in
+  List.map
+    (fun model -> (model, Verifyio.Pipeline.verify_prepared ~model p))
+    Verifyio.Model.builtin
 
 let matches_expectation w outcomes =
   List.for_all

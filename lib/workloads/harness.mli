@@ -59,10 +59,10 @@ val run : ?scale:int -> ?abort_rank:int * int -> t -> Recorder.Record.t list
 val verify :
   ?scale:int -> ?engine:Verifyio.Reach.engine -> t ->
   (Verifyio.Model.t * Verifyio.Pipeline.outcome) list
-(** Run, then verify against all four builtin models through the
-    shared-preparation pipeline ({!Verifyio.Pipeline.verify_shared}): the
-    trace is decoded and its happens-before graph built once, not per
-    model. Verdicts are identical to the per-model pipeline. *)
+(** Run, then verify against all four builtin models from one
+    {!Verifyio.Pipeline.prepare}: the trace is decoded and its
+    happens-before graph built once, not per model. Verdicts are
+    identical to preparing once per model. *)
 
 val matches_expectation :
   t -> (Verifyio.Model.t * Verifyio.Pipeline.outcome) list -> bool

@@ -50,7 +50,9 @@ let write_witnesses dir =
   in
   let rs m q =
     let records = Viogen.Workload.run q in
-    race_set (V.Pipeline.verify ~model:m ~nranks:q.Viogen.Workload.nranks records)
+    race_set
+      (V.Pipeline.verify_prepared ~model:m
+         (V.Pipeline.prepare ~nranks:q.Viogen.Workload.nranks records))
   in
   List.iter
     (fun (file, strong, weak) ->
@@ -132,10 +134,11 @@ let () =
       end;
       let records = Viogen.Workload.run p in
       let nranks = p.Viogen.Workload.nranks in
+      let prepared = V.Pipeline.prepare ~nranks records in
       let verdicts =
         List.map
-          (fun (m, o) -> (m, race_set o))
-          (V.Pipeline.verify_all_models ~models ~nranks records)
+          (fun m -> (m, race_set (V.Pipeline.verify_prepared ~model:m prepared)))
+          models
       in
       let races m =
         try List.assq m verdicts with Not_found -> failwith "missing verdict"

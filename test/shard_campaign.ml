@@ -1,10 +1,10 @@
 (* Interval-index differential campaign (@shard-smoke): 200 seeds of
    generated workloads at 64-256 ranks, the scale at which
    [Reach.recommend] picks the interval-index engine. Each seed runs
-   [Pipeline.verify_shared] twice over the same happens-before graph —
-   once with the interval-index engine, once with the vector-clock
-   engine — and the two must produce the same verdicts, races,
-   inventory and stats for every builtin model.
+   [Pipeline.prepare] twice over the same happens-before graph — once
+   with the interval-index engine, once with the vector-clock engine —
+   and the two must produce the same verdicts, races, inventory and
+   stats for every builtin model.
 
    Exits 1 on any divergence, printing the offending seed and rank count
    so the failure is reproducible with [Viogen.Workload.generate]. *)
@@ -39,8 +39,12 @@ let () =
     in
     let records = Viogen.Workload.run p in
     let nranks = p.Viogen.Workload.nranks in
-    let base = P.verify_shared ~engine:V.Reach.Vector_clock ~nranks records in
-    let ii = P.verify_shared ~engine:V.Reach.Interval_index ~nranks records in
+    let verify_all engine =
+      let p = P.prepare ~engine ~nranks records in
+      List.map (fun m -> (m, P.verify_prepared ~model:m p)) V.Model.builtin
+    in
+    let base = verify_all V.Reach.Vector_clock in
+    let ii = verify_all V.Reach.Interval_index in
     if List.map key base <> List.map key ii then begin
       incr failures;
       Printf.printf

@@ -31,14 +31,20 @@ let outcomes_sig outcomes =
     (fun ((m : V.Model.t), o) -> (m.V.Model.name, outcome_sig o))
     outcomes
 
-(* Sequential reference verdicts: the legacy per-model pipeline, which
-   shares nothing between models. *)
+(* Sequential reference verdicts: one prepare per model, sharing nothing
+   between models. *)
 let sequential_sigs =
   lazy
     (List.map
        (fun ((w : H.t), records) ->
          ( w.H.name,
-           outcomes_sig (V.Pipeline.verify_all_models ~nranks:w.H.nranks records) ))
+           outcomes_sig
+             (List.map
+                (fun m ->
+                  ( m,
+                    V.Pipeline.verify_prepared ~model:m
+                      (V.Pipeline.prepare ~nranks:w.H.nranks records) ))
+                V.Model.builtin) ))
        (Lazy.force traces))
 
 let jobs_of selected =

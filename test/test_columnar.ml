@@ -84,7 +84,12 @@ let outcome_line ((m : V.Model.t), (o : P.outcome)) =
 (* Every gate config for one trace, as "config | detail" lines. *)
 let subject_lines ~lenient ~nranks ~upstream records =
   let mode = if lenient then D.Lenient else D.Strict in
-  let shared ?engine () = P.verify_shared ?engine ~mode ~upstream ~nranks records in
+  let verify_all p =
+    List.map (fun m -> (m, P.verify_prepared ~model:m p)) V.Model.builtin
+  in
+  let shared ?engine () =
+    verify_all (P.prepare ?engine ~mode ~upstream ~nranks records)
+  in
   let out = ref [] in
   let add cfg lines = out := !out @ List.map (fun s -> cfg ^ " | " ^ s) lines in
   (* The golden file was recorded when [all_engines] had four entries;
@@ -122,8 +127,13 @@ let subject_lines ~lenient ~nranks ~upstream records =
     in
     add "report:md5" [ Digest.to_hex (Digest.string txt) ]
   | [] -> ());
+  (* One prepare per model: nothing shared between models. *)
   if not lenient then
-    add "sequential" (List.map outcome_line (P.verify_all_models ~nranks records));
+    add "sequential"
+      (List.map
+         (fun m ->
+           outcome_line (m, P.verify_prepared ~model:m (P.prepare ~nranks records)))
+         V.Model.builtin);
   let job = V.Batch.job ~mode ~upstream ~name:"gate" ~nranks records in
   List.iter
     (fun d ->
@@ -136,12 +146,13 @@ let subject_lines ~lenient ~nranks ~upstream records =
     [ 1; 2 ];
   add "partial"
     (List.map outcome_line
-       (P.verify_shared ~mode:D.Lenient ~upstream ~partial:true ~nranks records));
+       (verify_all
+          (P.prepare ~mode:D.Lenient ~upstream ~partial:true ~nranks records)));
   let budget_line n =
     match
-      P.verify ~mode ~upstream
-        ~budget:(Vio_util.Budget.create n)
-        ~model:V.Model.posix ~nranks records
+      P.verify_prepared ~model:V.Model.posix
+        (P.prepare ~mode ~upstream ~budget:(Vio_util.Budget.create n) ~nranks
+           records)
     with
     | o -> "ok " ^ outcome_line (V.Model.posix, o)
     | exception Vio_util.Budget.Exhausted { stage; limit; used } ->

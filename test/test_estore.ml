@@ -219,9 +219,10 @@ let prop_pipeline_total =
                  ops)
           [ 0; 1 ]
       in
+      let p = V.Pipeline.prepare ~nranks:2 records in
       List.for_all
         (fun model ->
-          let o = V.Pipeline.verify ~model ~nranks:2 records in
+          let o = V.Pipeline.verify_prepared ~model p in
           o.V.Pipeline.race_count >= 0)
         V.Model.builtin)
 

@@ -111,7 +111,10 @@ let test_corpus_replays_clean () =
   List.iter
     (fun f ->
       let nranks, records = Recorder.Codec.of_file (Filename.concat dir f) in
-      let divs = D.check ~domains:[ 1; 2 ] ~nranks records in
+      let divs =
+        D.check ~domains:[ 1; 2 ] ~oracle:(V.Oracle.verify ~nranks records)
+          ~nranks records
+      in
       check_int (f ^ ": no divergence") 0 (List.length divs))
     traces
 
@@ -129,7 +132,8 @@ let test_seed41_regression () =
     (by_model
     = [ ("POSIX", 0); ("Commit", 2); ("Session", 2); ("MPI-IO", 2) ]);
   check_int "optimized paths agree" 0
-    (List.length (D.check ~nranks records))
+    (List.length
+       (D.check ~oracle:(V.Oracle.verify ~nranks records) ~nranks records))
 
 (* The committed model witnesses: shrunk Extended-profile traces that
    flip verdict across one lattice edge — racy under the stronger model,
@@ -140,13 +144,17 @@ let test_model_witnesses () =
     let races name =
       match V.Model.by_name name with
       | Some m ->
-        (V.Pipeline.verify ~model:m ~nranks records).V.Pipeline.races
+        (V.Pipeline.verify_prepared ~model:m (V.Pipeline.prepare ~nranks records))
+          .V.Pipeline.races
       | None -> Alcotest.fail ("registry lost " ^ name)
     in
     check_bool (file ^ " racy under " ^ strong) true (races strong <> []);
     check_bool (file ^ " clean under " ^ weak) true (races weak = []);
     check_int (file ^ " all subjects agree") 0
-      (List.length (D.check ~models:(V.Model.all ()) ~nranks records))
+      (List.length
+         (D.check
+            ~oracle:(V.Oracle.verify ~models:(V.Model.all ()) ~nranks records)
+            ~nranks records))
   in
   pin "model_c2o_vs_session.vio-trace" "c2o" "session";
   pin "model_commit_ps_vs_commit.vio-trace" "commit-ps" "commit"
@@ -182,15 +190,17 @@ let prop_lattice_monotone =
       let nranks = p.W.nranks in
       List.for_all
         (fun engine ->
+          let prepared = V.Pipeline.prepare ~engine ~nranks records in
           let verdicts =
-            V.Pipeline.verify_all_models ~engine ~models ~nranks records
-            |> List.map (fun ((m : V.Model.t), (o : V.Pipeline.outcome)) ->
-                   ( m,
-                     List.sort_uniq compare
-                       (List.map
-                          (fun (r : V.Verify.race) ->
-                            (r.V.Verify.rx, r.V.Verify.ry))
-                          o.V.Pipeline.races) ))
+            List.map
+              (fun m ->
+                ( m,
+                  List.sort_uniq compare
+                    (List.map
+                       (fun (r : V.Verify.race) -> (r.V.Verify.rx, r.V.Verify.ry))
+                       (V.Pipeline.verify_prepared ~model:m prepared)
+                         .V.Pipeline.races) ))
+              models
           in
           List.for_all
             (fun (m1, r1) ->

@@ -112,8 +112,9 @@ let prop_faults_all_detected =
       let faulted, events = Inject.apply plan ~seed encoded in
       let dec = Codec.decode_ext ~mode:D.Lenient faulted in
       let o =
-        V.Pipeline.verify ~mode:D.Lenient ~upstream:dec.Codec.diagnostics
-          ~model:V.Model.posix ~nranks:dec.Codec.nranks dec.Codec.records
+        V.Pipeline.verify_prepared ~model:V.Model.posix
+          (V.Pipeline.prepare ~mode:D.Lenient ~upstream:dec.Codec.diagnostics
+             ~nranks:dec.Codec.nranks dec.Codec.records)
       in
       ignore nranks;
       List.length o.V.Pipeline.degradation.V.Pipeline.diagnostics
@@ -135,8 +136,9 @@ let prop_lenient_pipeline_never_raises =
       let faulted, _ = Inject.apply plan ~seed encoded in
       let dec = Codec.decode_ext ~mode:D.Lenient faulted in
       let o =
-        V.Pipeline.verify ~mode:D.Lenient ~upstream:dec.Codec.diagnostics
-          ~model:V.Model.mpi_io ~nranks:dec.Codec.nranks dec.Codec.records
+        V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+          (V.Pipeline.prepare ~mode:D.Lenient ~upstream:dec.Codec.diagnostics
+             ~nranks:dec.Codec.nranks dec.Codec.records)
       in
       o.V.Pipeline.race_count >= 0)
 
@@ -181,8 +183,8 @@ let test_degraded_races_tagged () =
   let records = W.run w in
   let encoded = Codec.encode ~nranks:w.W.nranks records in
   let o_clean =
-    V.Pipeline.verify ~mode:D.Lenient ~model:V.Model.mpi_io ~nranks:w.W.nranks
-      records
+    V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+      (V.Pipeline.prepare ~mode:D.Lenient ~nranks:w.W.nranks records)
   in
   check_bool "clean lenient run has definite races only" true
     (List.for_all
@@ -195,8 +197,9 @@ let test_degraded_races_tagged () =
   check_bool "some faults injected" true (events <> []);
   let dec = Codec.decode_ext ~mode:D.Lenient faulted in
   let o =
-    V.Pipeline.verify ~mode:D.Lenient ~upstream:dec.Codec.diagnostics
-      ~model:V.Model.mpi_io ~nranks:dec.Codec.nranks dec.Codec.records
+    V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+      (V.Pipeline.prepare ~mode:D.Lenient ~upstream:dec.Codec.diagnostics
+         ~nranks:dec.Codec.nranks dec.Codec.records)
   in
   check_bool "degradation recorded" true (V.Pipeline.is_degraded o);
   check_bool "surviving races degraded" true
@@ -215,8 +218,8 @@ let test_abort_rank_degrades_gracefully () =
   check_bool "trace has in-flight records" true
     (List.exists (fun (r : R.t) -> r.R.ret = T.in_flight_ret) records);
   let o =
-    V.Pipeline.verify ~mode:D.Lenient ~model:V.Model.mpi_io ~nranks:w.W.nranks
-      records
+    V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+      (V.Pipeline.prepare ~mode:D.Lenient ~nranks:w.W.nranks records)
   in
   check_bool "pipeline survives" true (o.V.Pipeline.race_count >= 0);
   check_bool "epilogues reported missing" true

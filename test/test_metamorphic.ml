@@ -75,7 +75,8 @@ let prop_sync_monotonicity =
     (fun (seed, nranks) ->
       let races ~sync_level model =
         let records = trace_of ~seed ~rounds:6 ~sync_level ~nranks () in
-        race_keys (V.Pipeline.verify ~model ~nranks records)
+        race_keys
+          (V.Pipeline.verify_prepared ~model (V.Pipeline.prepare ~nranks records))
       in
       List.for_all
         (fun model ->
@@ -163,7 +164,9 @@ let prop_schedule_independence =
       List.for_all
         (fun model ->
           let keys records =
-            race_keys (V.Pipeline.verify ~model ~nranks records)
+            race_keys
+              (V.Pipeline.verify_prepared ~model
+                 (V.Pipeline.prepare ~nranks records))
           in
           keys base = keys shuffled)
         V.Model.builtin)

@@ -190,7 +190,7 @@ let collect ~nranks program =
    both /x and /y; /y is written by rank 1 itself so it never conflicts. *)
 let verify_under model program =
   let records = collect ~nranks:2 program in
-  let o = V.Pipeline.verify ~model ~nranks:2 records in
+  let o = V.Pipeline.verify_prepared ~model (V.Pipeline.prepare ~nranks:2 records) in
   o.V.Pipeline.races = []
 
 let test_commit_needs_fsync_not_close () =
@@ -398,8 +398,9 @@ let test_atomic_matches_posix_verdicts () =
     F.close fs ~rank:ctx.E.rank fd
   in
   let records = collect ~nranks:2 racy in
+  let p = V.Pipeline.prepare ~nranks:2 records in
   let proj model =
-    let o = V.Pipeline.verify ~model ~nranks:2 records in
+    let o = V.Pipeline.verify_prepared ~model p in
     List.sort compare
       (List.map
          (fun (r : V.Verify.race) -> (r.V.Verify.rx, r.V.Verify.ry))
@@ -450,11 +451,12 @@ let test_oracle_generic_over_registry () =
   let oracle = V.Oracle.verify ~models ~nranks:2 records in
   check_int "oracle covers every model" (List.length models)
     (List.length oracle);
+  let p = V.Pipeline.prepare ~nranks:2 records in
   let saw_clean = ref false and saw_racy = ref false in
   List.iter2
     (fun (m : V.Model.t) ((om : V.Model.t), (v : V.Oracle.verdict)) ->
       check_string "model order preserved" m.V.Model.name om.V.Model.name;
-      let o = V.Pipeline.verify ~model:m ~nranks:2 records in
+      let o = V.Pipeline.verify_prepared ~model:m p in
       let pipeline_races =
         List.sort compare
           (List.map

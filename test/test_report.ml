@@ -15,7 +15,7 @@ let contains hay needle =
 let outcome_of ?scale name model =
   let w = Option.get (Workloads.Registry.find name) in
   let records = H.run ?scale w in
-  V.Pipeline.verify ~model ~nranks:w.H.nranks records
+  V.Pipeline.verify_prepared ~model (V.Pipeline.prepare ~nranks:w.H.nranks records)
 
 (* ------------------------------------------------------------------ *)
 (* Race grouping                                                        *)
@@ -95,12 +95,15 @@ let test_pipeline_auto_selection () =
      engine; the verdict must match an explicit vector-clock run. *)
   let w = Option.get (Workloads.Registry.find "t_pread") in
   let records = H.run w in
-  let auto = V.Pipeline.verify ~model:V.Model.posix ~nranks:w.H.nranks records in
+  let auto =
+    V.Pipeline.verify_prepared ~model:V.Model.posix
+      (V.Pipeline.prepare ~nranks:w.H.nranks records)
+  in
   check_bool "auto picked on-the-fly for zero conflicts" true
     (auto.V.Pipeline.engine_used = V.Reach.On_the_fly);
   let explicit =
-    V.Pipeline.verify ~engine:V.Reach.Vector_clock ~model:V.Model.posix
-      ~nranks:w.H.nranks records
+    V.Pipeline.verify_prepared ~model:V.Model.posix
+      (V.Pipeline.prepare ~engine:V.Reach.Vector_clock ~nranks:w.H.nranks records)
   in
   check_bool "explicit choice respected" true
     (explicit.V.Pipeline.engine_used = V.Reach.Vector_clock);
@@ -115,10 +118,13 @@ let test_auto_matches_explicit_on_racy_workload () =
       (fun (r : V.Verify.race) -> (r.V.Verify.rx, r.V.Verify.ry))
       o.V.Pipeline.races
   in
-  let auto = V.Pipeline.verify ~model:V.Model.mpi_io ~nranks:w.H.nranks records in
+  let auto =
+    V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+      (V.Pipeline.prepare ~nranks:w.H.nranks records)
+  in
   let vc =
-    V.Pipeline.verify ~engine:V.Reach.Vector_clock ~model:V.Model.mpi_io
-      ~nranks:w.H.nranks records
+    V.Pipeline.verify_prepared ~model:V.Model.mpi_io
+      (V.Pipeline.prepare ~engine:V.Reach.Vector_clock ~nranks:w.H.nranks records)
   in
   Alcotest.(check (list (pair int int)))
     "identical races" (races vc) (races auto)

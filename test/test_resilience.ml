@@ -175,8 +175,9 @@ let test_partial_pipeline_downgrades () =
   in
   let records = Workloads.Harness.run ~abort_rank:(1, 3) w in
   let o =
-    V.Pipeline.verify ~mode:D.Lenient ~partial:true ~model:V.Model.posix
-      ~nranks:w.Workloads.Harness.nranks records
+    V.Pipeline.verify_prepared ~model:V.Model.posix
+      (V.Pipeline.prepare ~mode:D.Lenient ~partial:true
+         ~nranks:w.Workloads.Harness.nranks records)
   in
   check_bool "inventory nonempty" true (o.V.Pipeline.inventory <> []);
   check_bool "unmatched reported" true (o.V.Pipeline.unmatched <> []);
@@ -224,8 +225,8 @@ let test_budget_cuts_pipeline () =
     | [] -> Alcotest.fail "empty registry"
   in
   let run budget =
-    V.Pipeline.verify ?budget ~model:V.Model.posix
-      ~nranks:w.Workloads.Harness.nranks records
+    V.Pipeline.verify_prepared ~model:V.Model.posix
+      (V.Pipeline.prepare ?budget ~nranks:w.Workloads.Harness.nranks records)
   in
   (* Unbudgeted and generously budgeted runs agree. *)
   let o1 = run None in

@@ -425,9 +425,9 @@ let test_spool_tmp_survivor_recovery () =
     | Error _ -> false)
 
 (* The byte-identity contract, in-process: every cache entry the daemon
-   writes equals a fresh sequential Pipeline run rendered through the
-   same encoder. (The chaos campaign checks the same property across
-   kills and child processes; this is the deterministic fast path.) *)
+   writes equals the fresh sequential reference ([Chaos.fresh_entry]).
+   (The chaos campaign checks the same property across kills and child
+   processes; this is the deterministic fast path.) *)
 let test_daemon_cache_byte_identity () =
   let root = fresh_dir () in
   let spool = Spool.layout root in
@@ -446,10 +446,6 @@ let test_daemon_cache_byte_identity () =
     (fun (s : Spool.jobspec) ->
       let trace_sha256 = Vio_util.Sha256.digest_file s.Spool.trace in
       let flags = Spool.flags_string s in
-      let dec =
-        Recorder.Codec.decode_ext ~mode:Recorder.Diagnostic.Strict
-          (Recorder.Codec.read_file s.Spool.trace)
-      in
       List.iter
         (fun (model : Verifyio.Model.t) ->
           let key =
@@ -460,20 +456,11 @@ let test_daemon_cache_byte_identity () =
             | Some e -> e
             | None -> Alcotest.fail ("no cache entry for " ^ s.Spool.id)
           in
-          let outcome =
-            Verifyio.Pipeline.verify ~mode:Recorder.Diagnostic.Strict
-              ~upstream:dec.Recorder.Codec.diagnostics ~model
-              ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records
-          in
-          let fresh =
-            Cache.render
-              (Cache.verdict_json ~flags ~trace_sha256 ~lenient:false
-                 ~partial:false ~model outcome)
-          in
           check_string
             (Printf.sprintf "%s/%s bytes" s.Spool.id
                model.Verifyio.Model.name)
-            fresh entry)
+            (Serve.Chaos.fresh_entry s model)
+            entry)
         Verifyio.Model.builtin)
     specs
 

@@ -27,13 +27,16 @@ let collect ~nranks program =
   Recorder.Trace.records trace
 
 let outcome_for ?engine ~nranks ~model program =
-  V.Pipeline.verify ?engine ~model ~nranks (collect ~nranks program)
+  V.Pipeline.verify_prepared ~model
+    (V.Pipeline.prepare ?engine ~nranks (collect ~nranks program))
 
 let verdicts ~nranks program =
-  let records = collect ~nranks program in
+  let p = V.Pipeline.prepare ~nranks (collect ~nranks program) in
   List.map
-    (fun (m, o) -> (m.V.Model.name, V.Pipeline.is_properly_synchronized o))
-    (V.Pipeline.verify_all_models ~nranks records)
+    (fun (m : V.Model.t) ->
+      ( m.V.Model.name,
+        V.Pipeline.is_properly_synchronized (V.Pipeline.verify_prepared ~model:m p) ))
+    V.Model.builtin
 
 let check_verdicts name expected got =
   List.iter2
@@ -334,8 +337,8 @@ let test_split_wait_bug_reported () =
          P.close ctx nc)
    with E.Mismatch _ -> ());
   let o =
-    V.Pipeline.verify ~model:V.Model.posix ~nranks:2
-      (Recorder.Trace.records trace)
+    V.Pipeline.verify_prepared ~model:V.Model.posix
+      (V.Pipeline.prepare ~nranks:2 (Recorder.Trace.records trace))
   in
   let mismatches =
     List.filter
@@ -463,7 +466,10 @@ let test_engines_agree_on_verdicts () =
         let baseline = ref None in
         List.iter
           (fun eng ->
-            let o = V.Pipeline.verify ~engine:eng ~model ~nranks:3 records in
+            let o =
+              V.Pipeline.verify_prepared ~model
+                (V.Pipeline.prepare ~engine:eng ~nranks:3 records)
+            in
             let key =
               List.map (fun (r : V.Verify.race) -> (r.V.Verify.rx, r.V.Verify.ry)) o.V.Pipeline.races
             in
@@ -502,10 +508,9 @@ let test_pruning_equivalence () =
     in
     List.iter
       (fun model ->
-        let with_p = V.Pipeline.verify ~pruning:true ~model ~nranks:3 records in
-        let without_p =
-          V.Pipeline.verify ~pruning:false ~model ~nranks:3 records
-        in
+        let p = V.Pipeline.prepare ~nranks:3 records in
+        let with_p = V.Pipeline.verify_prepared ~pruning:true ~model p in
+        let without_p = V.Pipeline.verify_prepared ~pruning:false ~model p in
         Alcotest.(check (list (pair int int)))
           (Printf.sprintf "seed %d %s: pruned = unpruned" seed model.V.Model.name)
           (List.map (fun (r : V.Verify.race) -> (r.V.Verify.rx, r.V.Verify.ry)) without_p.V.Pipeline.races)
@@ -539,8 +544,8 @@ let test_race_report_has_call_chain () =
       M.barrier ctx comm;
       NC.close ctx nc);
   let o =
-    V.Pipeline.verify ~model:V.Model.posix ~nranks:2
-      (Recorder.Trace.records trace)
+    V.Pipeline.verify_prepared ~model:V.Model.posix
+      (V.Pipeline.prepare ~nranks:2 (Recorder.Trace.records trace))
   in
   check_bool "parallel5-style race found" true (o.V.Pipeline.race_count > 0);
   let report = V.Report.race_report o in

@@ -201,7 +201,9 @@ let test_trace_file_round_trip_preserves_verdicts () =
             let races rs =
               List.map
                 (fun (r : V.Verify.race) -> (r.V.Verify.rx, r.V.Verify.ry))
-                (V.Pipeline.verify ~model ~nranks:w.H.nranks rs).V.Pipeline.races
+                (V.Pipeline.verify_prepared ~model
+                   (V.Pipeline.prepare ~nranks:w.H.nranks rs))
+                  .V.Pipeline.races
             in
             Alcotest.(check (list (pair int int)))
               (Printf.sprintf "%s/%s: saved trace verdict" name
