@@ -3,6 +3,8 @@
    Subcommands:
      list             enumerate the evaluation workloads
      run              execute a workload and write its trace to a file
+     convert          re-encode a trace file between the text and binary
+                      formats
      verify           verify a trace file (or a named workload) against a model
      report           one-line verdict per model, races grouped by call chain
      fuzz             differential fuzzing: generated workloads, every
@@ -10,6 +12,8 @@
      serve            crash-safe verification daemon over a spool directory
      submit           drop a job into a serve spool (optionally wait)
      chaos            kill the daemon mid-batch, validate crash recovery
+     torture          failpoint campaign: sweep every fault site, assert
+                      the robustness invariants
      models           print the builtin consistency models (paper Table I)
      coverage         print tracer API coverage (paper Table II)
      stats            per-layer/function statistics of a trace
@@ -424,17 +428,6 @@ let report_cmd source engine_name grouped =
     (match synchronized with [] -> "(none)" | l -> String.concat ", " l);
   0
 
-let parse_domains = function
-  | "" -> Ok None
-  | spec -> (
-    let parts = String.split_on_char ',' spec in
-    let nums = List.map int_of_string_opt parts in
-    if List.for_all (function Some n -> n >= 1 | None -> false) nums then
-      Ok (Some (List.map Option.get nums))
-    else
-      Error
-        (Printf.sprintf "bad domain list %S (want e.g. 1,2,4; all >= 1)" spec))
-
 (* ---- fuzz: differential testing against the naive oracle ---- *)
 
 (* The conflict-pair count, which every model's oracle verdict shares. *)
@@ -475,7 +468,7 @@ let print_divergences divs =
       Format.printf "    %a@." Viogen.Diff.pp_divergence d)
     divs
 
-let fuzz_replay path domains models =
+let fuzz_replay path models =
   let files =
     if Sys.is_directory path then
       Sys.readdir path |> Array.to_list
@@ -497,7 +490,7 @@ let fuzz_replay path domains models =
       | nranks, records ->
         let oracle = Verifyio.Oracle.verify ~models ~nranks records in
         oracle_line ~label:(Filename.basename f) ~nranks records oracle;
-        let divs = Viogen.Diff.check ~domains ~oracle ~nranks records in
+        let divs = Viogen.Diff.check ~oracle ~nranks records in
         if divs <> [] then begin
           incr bad;
           print_divergences divs
@@ -506,12 +499,12 @@ let fuzz_replay path domains models =
   Printf.printf "replay: %d divergent trace(s) of %d\n" !bad (List.length files);
   if !bad = 0 then 0 else 4
 
-let fuzz_generate seed count smoke shrink save_corpus domains models profile =
+let fuzz_generate seed count smoke shrink save_corpus models profile =
   let count = if smoke then 8 else count in
   Printf.printf "fuzz: seed %d, %d program(s)%s\n" seed count
     (if smoke then " (smoke)" else "");
   Printf.printf "subjects: %s\n"
-    (String.concat ", " (Viogen.Diff.subject_names ~domains));
+    (String.concat ", " Viogen.Diff.subject_names);
   let verbose = count <= 20 in
   let total_records = ref 0 in
   let total_pairs = ref 0 in
@@ -530,7 +523,7 @@ let fuzz_generate seed count smoke shrink save_corpus domains models profile =
     if verbose then
       oracle_line ~label:(Printf.sprintf "seed %d" s) ~nranks records oracle
     else if (i + 1) mod 100 = 0 then Printf.printf "  %d/%d\n%!" (i + 1) count;
-    let divs = Viogen.Diff.check ~domains ~oracle ~nranks records in
+    let divs = Viogen.Diff.check ~oracle ~nranks records in
     if divs <> [] then begin
       divergent := s :: !divergent;
       Printf.printf "  seed %d: DIVERGENCE (%d disagreeing verdict(s))\n" s
@@ -538,7 +531,7 @@ let fuzz_generate seed count smoke shrink save_corpus domains models profile =
       print_divergences divs;
       if shrink then begin
         let interesting q =
-          Viogen.Diff.check_program ~models ~domains q <> []
+          Viogen.Diff.check_program ~models q <> []
         in
         let small = Viogen.Diff.shrink ~interesting p in
         let small_records = Viogen.Workload.run small in
@@ -647,14 +640,8 @@ let fuzz_resilience seed count smoke retries budget timeout_ms =
     !mutated !inventories !partial_races;
   0
 
-let fuzz_cmd seed count smoke shrink replay save_corpus domains_spec
-    models_spec profile_extended resilience retries budget timeout_ms =
-  let* domains = parse_domains domains_spec in
-  let domains =
-    match domains with
-    | Some d -> d
-    | None -> if smoke then [ 1; 2 ] else [ 1; 2; 3; 4 ]
-  in
+let fuzz_cmd seed count smoke shrink replay save_corpus models_spec
+    profile_extended resilience retries budget timeout_ms =
   let* models = parse_models models_spec in
   let profile =
     if profile_extended then Viogen.Workload.Extended
@@ -677,13 +664,13 @@ let fuzz_cmd seed count smoke shrink replay save_corpus domains_spec
   else
     match replay with
     | Some path ->
-      if Sys.file_exists path then fuzz_replay path domains models
+      if Sys.file_exists path then fuzz_replay path models
       else begin
         Printf.eprintf "no such trace or directory: %s\n" path;
         usage_error
       end
     | None ->
-      fuzz_generate seed count smoke shrink save_corpus domains models profile
+      fuzz_generate seed count smoke shrink save_corpus models profile
 
 (* ---- verification as a service: serve / submit / chaos ---- *)
 
@@ -1015,14 +1002,6 @@ let report_term =
   Term.(
     const report_cmd $ source_arg $ engine_arg $ grouped_arg)
 
-let domains_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "domains" ] ~docv:"N,N,..."
-        ~doc:
-          "Comma-separated batch-engine domain counts to include as fuzz \
-           subjects (default 1,2,3,4; 1,2 with $(b,--smoke)).")
-
 let fuzz_seed_arg =
   Arg.(
     value & opt int 1
@@ -1067,8 +1046,8 @@ let fuzz_smoke_arg =
     value & flag
     & info [ "smoke" ]
         ~doc:
-          "CI-sized run: 8 programs, batch domains 1,2. Deterministic output \
-           (locked by a cram test).")
+          "CI-sized run: 8 programs. Deterministic output (locked by a cram \
+           test).")
 
 let fuzz_resilience_arg =
   Arg.(
@@ -1116,7 +1095,7 @@ let fuzz_profile_arg =
 let fuzz_term =
   Term.(
     const fuzz_cmd $ fuzz_seed_arg $ fuzz_count_arg $ fuzz_smoke_arg
-    $ fuzz_shrink_arg $ fuzz_replay_arg $ fuzz_save_corpus_arg $ domains_arg
+    $ fuzz_shrink_arg $ fuzz_replay_arg $ fuzz_save_corpus_arg
     $ fuzz_models_arg $ fuzz_profile_arg $ fuzz_resilience_arg $ retries_arg
     $ budget_arg $ timeout_ms_opt_arg)
 

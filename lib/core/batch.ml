@@ -1,5 +1,3 @@
-module M = Vio_util.Metrics
-
 type job = {
   name : string;
   nranks : int;
@@ -65,10 +63,7 @@ let run_job j =
   let outcomes =
     List.map (fun m -> (m, Pipeline.verify_prepared ~model:m p)) j.models
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  M.incr "batch/jobs";
-  M.observe "batch/job_wall" wall;
-  { job = j; outcomes; wall }
+  { job = j; outcomes; wall = Unix.gettimeofday () -. t0 }
 
 (* The one worker pool: map [f] over [jobs] on up to [ndomains] domains,
    results in job order. Each worker claims the next unclaimed job from a
@@ -150,7 +145,6 @@ let run_isolated_job ~retries ~backoff_ms j =
     | exception Vio_util.Budget.Exhausted { stage; limit; used } ->
       (* Budgets are deterministic step counts: re-running the job would
          exhaust at exactly the same point, so a retry is pure waste. *)
-      M.incr "batch/timed_out";
       (Timed_out { stage; limit; used }, k)
     | exception Vio_util.Budget.Deadline_exceeded { stage; timeout_ms; elapsed_ms }
       ->
@@ -158,32 +152,22 @@ let run_isolated_job ~retries ~backoff_ms j =
          load — worth retrying, with exponential backoff so a transiently
          overloaded host gets room to recover. *)
       if k < max_attempts then begin
-        M.incr "batch/retries";
-        M.incr "batch/deadline_retries";
         wait k;
         attempt (k + 1)
       end
-      else begin
-        M.incr "batch/timed_out";
-        M.incr "batch/deadline_timed_out";
+      else
         (Timed_out { stage = stage ^ " (wall clock)"; limit = timeout_ms;
                      used = elapsed_ms }, k)
-      end
     | exception exn ->
       if k < max_attempts then begin
-        M.incr "batch/retries";
         wait k;
         attempt (k + 1)
       end
-      else begin
-        M.incr "batch/quarantined";
-        (Quarantined { attempts = k; error = Printexc.to_string exn }, k)
-      end
+      else (Quarantined { attempts = k; error = Printexc.to_string exn }, k)
   in
   let status, attempts = attempt 1 in
-  let wall = Unix.gettimeofday () -. t0 in
-  M.incr "batch/isolated_jobs";
-  { i_job = j; i_status = status; i_wall = wall; i_attempts = attempts }
+  { i_job = j; i_status = status; i_wall = Unix.gettimeofday () -. t0;
+    i_attempts = attempts }
 
 let run_isolated ?domains ?(retries = 1) ?timeout_ms ?(backoff_ms = 0) jobs =
   let ndomains = effective_domains domains in

@@ -136,9 +136,8 @@ val run_isolated :
     {!Timed_out} when the allowance is spent. Every job is bounded:
     [timeout_ms] (default {!default_timeout_ms}) is applied to jobs
     without their own. Results are in job order; never raises on a job
-    failure. Metrics: [batch/retries], [batch/deadline_retries],
-    [batch/quarantined], [batch/timed_out], [batch/deadline_timed_out],
-    [batch/isolated_jobs].
+    failure. Each job's status, attempt count and wall time are in its
+    {!isolated} record.
 
     @raise Invalid_argument if [domains < 1], [retries < 0],
     [timeout_ms < 1] or [backoff_ms < 0]. *)

@@ -95,16 +95,10 @@ let detect (e : E.t) =
   (* Files are independent (conflicts never cross fids) and anchors are
      unique to a file, so sweeping them in any order and sorting by
      anchor gives one deterministic result. *)
-  let groups =
-    Hashtbl.fold
-      (fun _ cell acc -> List.rev_append (sweep_file (Array.of_list !cell)) acc)
-      by_fid []
-    |> List.sort (fun a b -> compare a.x b.x)
-  in
-  Vio_util.Metrics.incr "conflict/detect_runs";
-  Vio_util.Metrics.incr ~n:(List.length groups) "conflict/groups";
-  Vio_util.Metrics.incr ~n:(Hashtbl.length by_fid) "conflict/files_with_data";
-  groups
+  Hashtbl.fold
+    (fun _ cell acc -> List.rev_append (sweep_file (Array.of_list !cell)) acc)
+    by_fid []
+  |> List.sort (fun a b -> compare a.x b.x)
 
 let group_pairs g =
   List.fold_left (fun acc (_, ops) -> acc + Array.length ops) 0 g.peers

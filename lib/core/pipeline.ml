@@ -1,5 +1,4 @@
 module D = Recorder.Diagnostic
-module M = Vio_util.Metrics
 
 type timings = {
   t_read : float;
@@ -213,16 +212,6 @@ let prepare_store ?engine ~mode ~upstream ~partial ?budget ~t_read
         diagnostics;
       }
   in
-  M.incr "pipeline/prepares";
-  M.observe "pipeline/stage/read" t_read;
-  M.observe "pipeline/stage/conflicts" t_conflicts;
-  M.observe "pipeline/stage/graph" t_graph;
-  M.observe "pipeline/stage/engine" t_engine;
-  M.incr ~n:conflicts "conflict/pairs";
-  M.incr ~n:(Hb_graph.size graph) "graph/nodes";
-  M.incr ~n:(Hb_graph.edge_count graph) "graph/edges";
-  M.incr ~n:(List.length inventory) "match/unmatched_entries";
-  M.incr ~n:(List.length dropped) "graph/dropped_events";
   {
     p_mode = mode;
     p_decoded = d;
@@ -261,21 +250,11 @@ let prepare_file ?engine ?(mode = D.Strict) ?(partial = false) ?budget path =
     ~n_decoded:(Estore.length d) d
 
 let verify_prepared ?(pruning = true) ~model p =
-  let queries_before = Reach.query_count p.p_reach in
-  let hits_before, misses_before = Reach.memo_stats p.p_reach in
   let t_verify, (races, stats) =
     timed (fun () ->
         Verify.run ~pruning ~degraded:p.p_degraded ~partial:p.p_partial
           ?budget:p.p_budget model p.p_reach p.p_sidx p.p_decoded p.p_groups)
   in
-  M.incr "pipeline/verifies";
-  M.observe "pipeline/stage/verify" t_verify;
-  M.incr
-    ~n:(Reach.query_count p.p_reach - queries_before)
-    ("reach/queries/" ^ Reach.engine_name p.p_engine);
-  let memo_hits, memo_misses = Reach.memo_stats p.p_reach in
-  M.incr ~n:(memo_hits - hits_before) "reach/memo_hits";
-  M.incr ~n:(memo_misses - misses_before) "reach/memo_misses";
   {
     model;
     mode = p.p_mode;

@@ -24,9 +24,10 @@
     verdicts that rest on a degraded region are tagged
     {!Verify.Under_degradation}.
 
-    Every stage reports wall time and headline counters to
-    {!Vio_util.Metrics} (keys [pipeline/stage/*], [conflict/*], [graph/*],
-    [reach/*], [verify/*]). *)
+    A run's numbers come back only in its {!outcome}: stage wall times
+    ({!timings}), pruning-rule hits and check totals ({!Verify.stats}),
+    conflict and graph sizes. Nothing is recorded process-wide, so runs
+    on concurrent domains never mix their counts. *)
 
 type timings = {
   t_read : float;  (** decode records into operations *)

@@ -118,20 +118,11 @@ let run ?(pruning = true) ?(degraded = no_degradation)
       races []
     |> List.sort (fun r1 r2 -> compare (r1.rx, r1.ry) (r2.rx, r2.ry))
   in
-  let stats =
+  ( race_list,
     {
       groups = List.length groups;
       pairs = Conflict.distinct_pairs groups;
       ps_checks = !checks;
       fast_groups = !fast;
       rule_hits;
-    }
-  in
-  let module M = Vio_util.Metrics in
-  M.incr "verify/runs";
-  M.incr ~n:stats.ps_checks "verify/ps_checks";
-  M.incr ~n:(List.length race_list) "verify/races";
-  Array.iteri
-    (fun i hits -> M.incr ~n:hits (Printf.sprintf "verify/rule%d_hits" (i + 1)))
-    rule_hits;
-  (race_list, stats)
+    } )

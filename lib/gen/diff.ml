@@ -25,14 +25,11 @@ let of_outcomes outcomes : verdict list =
         List.length o.P.unmatched ))
     outcomes
 
-let default_domains = [ 1; 2; 3; 4 ]
-
-let subject_names ~domains =
+let subject_names =
   List.map (fun e -> "engine:" ^ V.Reach.engine_name e) V.Reach.all_engines
-  @ [ "sequential"; "shared" ]
-  @ List.map (fun k -> Printf.sprintf "batch:%d" k) domains
+  @ [ "sequential"; "shared"; "batch" ]
 
-let subjects ~models ~domains ~nranks records : (string * verdict list) list =
+let subjects ~models ~nranks records : (string * verdict list) list =
   let verify_all p =
     of_outcomes (List.map (fun m -> (m, P.verify_prepared ~model:m p)) models)
   in
@@ -46,16 +43,10 @@ let subjects ~models ~domains ~nranks records : (string * verdict list) list =
           (List.map
              (fun m -> (m, P.verify_prepared ~model:m (P.prepare ~nranks records)))
              models) );
-      ("shared", shared None) ]
-  @ List.map
-      (fun k ->
-        let results =
-          V.Batch.run ~domains:k
-            [ V.Batch.job ~name:"fuzz" ~models ~nranks records ]
-        in
-        ( Printf.sprintf "batch:%d" k,
-          of_outcomes (List.hd results).V.Batch.outcomes ))
-      domains
+      ("shared", shared None);
+      ( "batch",
+        let job = V.Batch.job ~name:"fuzz" ~models ~nranks records in
+        of_outcomes (List.hd (V.Batch.run [ job ])).V.Batch.outcomes ) ]
 
 let render_pairs = function
   | [] -> "{}"
@@ -72,7 +63,7 @@ let pp_divergence fmt d =
   Format.fprintf fmt "subject %s model %s:@.  oracle %s@.  got    %s" d.subject
     d.model d.expected d.got
 
-let check ?mutation ?(domains = default_domains) ~oracle ~nranks records =
+let check ?mutation ~oracle ~nranks records =
   let models = List.map fst oracle in
   let oracle =
     List.map
@@ -88,7 +79,7 @@ let check ?mutation ?(domains = default_domains) ~oracle ~nranks records =
       String.length subject >= String.length mu.target
       && String.sub subject 0 (String.length mu.target) = mu.target
   in
-  subjects ~models ~domains ~nranks records
+  subjects ~models ~nranks records
   |> List.concat_map (fun (subject, verdicts) ->
          List.concat_map
            (fun (model, races, conflicts, unmatched) ->
@@ -106,9 +97,9 @@ let check ?mutation ?(domains = default_domains) ~oracle ~nranks records =
              else [])
            verdicts)
 
-let check_program ?mutation ?models ?domains (p : Workload.program) =
+let check_program ?mutation ?models (p : Workload.program) =
   let nranks = p.Workload.nranks and records = Workload.run p in
-  check ?mutation ?domains
+  check ?mutation
     ~oracle:(V.Oracle.verify ?models ~nranks records)
     ~nranks records
 

@@ -14,15 +14,16 @@
       nothing-shared baseline;
     - [shared] — one {!Verifyio.Pipeline.prepare} with dynamic engine
       selection, shared by every model;
-    - [batch:<k>] — {!Verifyio.Batch.run} at every domain count in
-      [domains] (default 1–4).
+    - [batch] — {!Verifyio.Batch.run} on a one-job list, which runs
+      inline on the calling domain. Verdict identity across domain
+      counts is the batch tests' job, not the fuzzer's.
 
     A {!mutation} lets the test suite break one subject on purpose and
     confirm the harness catches and shrinks it — the mutation smoke
     check of the fuzz tests. *)
 
 type divergence = {
-  subject : string;  (** e.g. ["engine:vector-clock"], ["batch:2"] *)
+  subject : string;  (** e.g. ["engine:vector-clock"], ["batch"] *)
   model : string;
   expected : string;  (** rendered oracle verdict *)
   got : string;  (** rendered subject verdict *)
@@ -38,13 +39,11 @@ type mutation = {
           comparison — simulates a broken engine *)
 }
 
-val subject_names : domains:int list -> string list
-(** The subjects a {!check} with these domain counts compares, in
-    comparison order. *)
+val subject_names : string list
+(** The subjects a {!check} compares, in comparison order. *)
 
 val check :
   ?mutation:mutation ->
-  ?domains:int list ->
   oracle:(Verifyio.Model.t * Verifyio.Oracle.verdict) list ->
   nranks:int ->
   Recorder.Record.t list ->
@@ -58,7 +57,6 @@ val check :
 val check_program :
   ?mutation:mutation ->
   ?models:Verifyio.Model.t list ->
-  ?domains:int list ->
   Workload.program ->
   divergence list
 (** {!Workload.run}, {!Verifyio.Oracle.verify} on [models] (default the

@@ -1,6 +1,5 @@
 module J = Vio_util.Json
 module Fsio = Vio_util.Fsio
-module M = Vio_util.Metrics
 
 type config = {
   root : string;
@@ -39,15 +38,19 @@ type summary = {
   cache_hits : int;
   overloaded : int;
   quarantined : int;
+  cache_store_failures : int;
   drained : bool;
 }
 
 let pp_summary ppf s =
   Format.fprintf ppf
     "cycles %d, admitted %d, replayed %d, completed %d (%d cached), \
-     overloaded %d, quarantined %d%s"
+     overloaded %d, quarantined %d%s%s"
     s.cycles s.admitted s.replayed s.completed s.cache_hits s.overloaded
     s.quarantined
+    (if s.cache_store_failures > 0 then
+       Printf.sprintf ", cache store failures %d" s.cache_store_failures
+     else "")
     (if s.drained then ", drained" else "")
 
 (* Mutable counters for one run; folded into the summary at exit. *)
@@ -64,6 +67,7 @@ type state = {
   mutable c_cache_hits : int;
   mutable c_overloaded : int;
   mutable c_quarantined : int;
+  mutable c_cache_store_failures : int;
   mutable c_drained : bool;
 }
 
@@ -87,8 +91,7 @@ let finish st (r : Spool.response) =
   Spool.write_response st.spool r;
   Journal.finished st.jn ~id:r.Spool.r_id ~status:r.Spool.r_status;
   remove_claimed st r.Spool.r_id;
-  st.c_completed <- st.c_completed + 1;
-  M.incr "serve/completed"
+  st.c_completed <- st.c_completed + 1
 
 let quarantine_file st (spec : Spool.jobspec) =
   let dst =
@@ -107,7 +110,6 @@ let quarantine_file st (spec : Spool.jobspec) =
 let quarantine st (spec : Spool.jobspec) ~attempts ~error =
   quarantine_file st spec;
   st.c_quarantined <- st.c_quarantined + 1;
-  M.incr "serve/quarantined";
   log st (Printf.sprintf "%s: quarantined: %s" spec.Spool.id error);
   finish st
     {
@@ -161,7 +163,6 @@ let try_cache st ~models ~trace_sha256 ~flags =
 
 let respond_cached st (spec : Spool.jobspec) ~attempts verdicts =
   st.c_cache_hits <- st.c_cache_hits + 1;
-  M.incr "serve/cache_hits";
   let exit = verdicts_exit verdicts in
   log st (Printf.sprintf "%s: done (cached, exit %d)" spec.Spool.id exit);
   finish st
@@ -237,12 +238,10 @@ let admit st =
             st.pending <- st.pending @ [ (spec, 0) ];
             incr admitted;
             st.c_admitted <- st.c_admitted + 1;
-            M.incr "serve/admitted";
             log st (Printf.sprintf "%s: admitted" spec.Spool.id)
           | exception Vio_util.Budget.Exhausted _ ->
             (try Sys.remove path with Sys_error _ -> ());
             st.c_overloaded <- st.c_overloaded + 1;
-            M.incr "serve/overloaded";
             log st (Printf.sprintf "%s: overloaded" spec.Spool.id);
             finish st
               {
@@ -314,7 +313,7 @@ let finish_chunk st ready isolated =
                      (Cache.render doc)
                with
               | Sys_error _ | Vio_util.Failpoint.Injected _ ->
-                M.incr "serve/cache_store_failures");
+                st.c_cache_store_failures <- st.c_cache_store_failures + 1);
               (model.Verifyio.Model.name, doc))
             outcomes
         in
@@ -481,8 +480,7 @@ let replay_startup st =
                  p.Journal.p_crashes st.cfg.crash_retries)
         else begin
           st.pending <- st.pending @ [ (spec, p.Journal.p_crashes) ];
-          st.c_replayed <- st.c_replayed + 1;
-          M.incr "serve/replayed"
+          st.c_replayed <- st.c_replayed + 1
         end)
     re.Journal.unfinished;
   if st.c_replayed > 0 then
@@ -506,6 +504,7 @@ let run ?(stop = Atomic.make false) cfg =
       c_cache_hits = 0;
       c_overloaded = 0;
       c_quarantined = 0;
+      c_cache_store_failures = 0;
       c_drained = false;
     }
   in
@@ -552,5 +551,6 @@ let run ?(stop = Atomic.make false) cfg =
     cache_hits = st.c_cache_hits;
     overloaded = st.c_overloaded;
     quarantined = st.c_quarantined;
+    cache_store_failures = st.c_cache_store_failures;
     drained = st.c_drained;
   }

@@ -55,6 +55,10 @@ type summary = {
   overloaded : int;  (** submissions rejected by admission control *)
   quarantined : int;
       (** jobs quarantined, crash-loop offenders included *)
+  cache_store_failures : int;
+      (** verdicts whose cache store failed: the job still ends [done]
+          with its verdict, and the next identical submission
+          recomputes it *)
   drained : bool;  (** true when [stop] triggered the graceful exit *)
 }
 
@@ -65,3 +69,4 @@ val run : ?stop:bool Atomic.t -> config -> summary
     (an unwritable spool) do escape. *)
 
 val pp_summary : Format.formatter -> summary -> unit
+(** One line; [cache_store_failures] appears only when non-zero. *)

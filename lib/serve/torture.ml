@@ -1,5 +1,4 @@
 module F = Vio_util.Failpoint
-module M = Vio_util.Metrics
 module Fsio = Vio_util.Fsio
 
 type config = {
@@ -15,7 +14,6 @@ type report = {
   t_scenarios : int;
   t_exact : int;
   t_faulted : int;
-  t_fallbacks : int;
   t_crashes : int;
   t_violations : (string * string) list;
 }
@@ -23,8 +21,8 @@ type report = {
 let pp_report ppf r =
   Format.fprintf ppf
     "%d scenario(s): %d absorbed exactly, %d surfaced documented faults; %d \
-     supervisor fallback(s), %d daemon crash(es) recovered; %d violation(s)"
-    r.t_scenarios r.t_exact r.t_faulted r.t_fallbacks r.t_crashes
+     daemon crash(es) recovered; %d violation(s)"
+    r.t_scenarios r.t_exact r.t_faulted r.t_crashes
     (List.length r.t_violations);
   List.iter
     (fun (scenario, what) ->
@@ -43,7 +41,6 @@ type state = {
   mutable n : int;
   mutable exact : int;
   mutable faulted : int;
-  mutable fallbacks : int;
   mutable crashes : int;
   mutable violations : (string * string) list;
 }
@@ -141,17 +138,13 @@ let isolated_path jobs () =
      paths legitimately produce different — degraded — verdicts). *)
 type klass = Exact | Documented | No_crash
 
-let fallback_total () =
-  M.find_counter (M.snapshot ()) "supervisor/fallbacks"
-
 let scenario st ~name ~klass ~baseline ~spec run =
   st.n <- st.n + 1;
   F.clear ();
   (match F.configure spec with
   | Error e -> violation st name "unparsable spec: %s" e
   | Ok () -> (
-    let fb0 = fallback_total () in
-    (match run () with
+    match run () with
     | d ->
       if String.equal d baseline then st.exact <- st.exact + 1
       else if klass <> No_crash then
@@ -162,8 +155,7 @@ let scenario st ~name ~klass ~baseline ~spec run =
       else if klass = Exact then
         violation st name "expected full absorption, got %s"
           (Printexc.to_string e)
-      else st.faulted <- st.faulted + 1);
-    st.fallbacks <- st.fallbacks + (fallback_total () - fb0)));
+      else st.faulted <- st.faulted + 1));
   F.clear ()
 
 (* ---- the serve protocol scenarios ------------------------------------- *)
@@ -217,15 +209,14 @@ let serve_scenario st ~scratch ~tag ~bin ~txt ~spec
   (match F.configure spec with
   | Error e -> violation st name "unparsable spec: %s" e
   | Ok () ->
-    let deg0 = M.find_counter (M.snapshot ()) "serve/cache_store_failures" in
-    let crashed =
+    let crashed, store_failures =
       match Daemon.run daemon_cfg with
-      | _summary -> false
-      | exception e when documented_exn e -> true
+      | s -> (false, s.Daemon.cache_store_failures)
+      | exception e when documented_exn e -> (true, 0)
       | exception e ->
         violation st name "undocumented daemon crash: %s"
           (Printexc.to_string e);
-        true
+        (true, 0)
     in
     F.clear ();
     if crashed then begin
@@ -235,12 +226,10 @@ let serve_scenario st ~scratch ~tag ~bin ~txt ~spec
     else st.exact <- st.exact + 1;
     if expect_crash && not crashed then
       violation st name "expected the fault to kill the daemon; it survived";
-    if
-      expect_degrade
-      && M.find_counter (M.snapshot ()) "serve/cache_store_failures" = deg0
-    then
+    if expect_degrade && store_failures = 0 then
       violation st name
-        "expected a degraded cache store; counter did not move";
+        "expected a degraded cache store; the daemon counted no store \
+         failure";
     (* The recovery incarnation: fabric off, same root. Its startup
        replay plus spool sweep must restore every invariant. *)
     (match Daemon.run daemon_cfg with
@@ -319,8 +308,7 @@ let mk_scratch () =
 let run cfg =
   if cfg.seeds < 1 then invalid_arg "Torture.run: seeds < 1";
   let st =
-    { n = 0; exact = 0; faulted = 0; fallbacks = 0; crashes = 0;
-      violations = [] }
+    { n = 0; exact = 0; faulted = 0; crashes = 0; violations = [] }
   in
   let scratch, cleanup =
     match cfg.root with
@@ -418,16 +406,14 @@ let run cfg =
     serve ~spec:(Printf.sprintf "fsio.fsync=prob:0.6:%d" (77 + seed)) ();
     log cfg
       (Printf.sprintf
-         "%s: %d scenario(s) so far, %d fallback(s), %d crash(es), %d \
-          violation(s)"
-         tag st.n st.fallbacks st.crashes
+         "%s: %d scenario(s) so far, %d crash(es), %d violation(s)"
+         tag st.n st.crashes
          (List.length st.violations))
   done;
   {
     t_scenarios = st.n;
     t_exact = st.exact;
     t_faulted = st.faulted;
-    t_fallbacks = st.fallbacks;
     t_crashes = st.crashes;
     t_violations = List.rev st.violations;
   }

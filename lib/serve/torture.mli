@@ -16,10 +16,12 @@
       [claimed/], no [.tmp.*] staging debris survives, and the final
       journal replay reports nothing unfinished.
 
-    Supervisor fallbacks are tallied but no scenario requires one: the
-    only spawned domains are {!Verifyio.Batch}'s workers, and the
+    No scenario can produce a supervisor fallback, so none is counted:
+    the only spawned domains are {!Verifyio.Batch}'s workers, and the
     [batch.worker] site fires inside the per-job capture, so no fabric
-    site can kill a worker domain.
+    site can kill a worker domain. The two cache-degrading serve
+    scenarios read {!Daemon.summary}'s [cache_store_failures] from the
+    faulted incarnation's result and fail when it is zero.
 
     Every scenario is reproducible from its [site=policy] spec and the
     campaign seed alone. The default campaign (9 seeds × 23 scenarios =
@@ -41,7 +43,6 @@ type report = {
   t_scenarios : int;  (** scenarios executed *)
   t_exact : int;  (** faults fully absorbed: digest equal to fault-free *)
   t_faulted : int;  (** surfaced as a documented error *)
-  t_fallbacks : int;  (** supervisor sequential fallbacks observed *)
   t_crashes : int;  (** daemon crashes injected and recovered *)
   t_violations : (string * string) list;  (** (scenario, what broke) *)
 }

@@ -38,22 +38,16 @@ let exhausted t = t.used > t.limit
 let spend t ~stage n =
   if n < 0 then invalid_arg "Budget.spend: negative amount";
   t.used <- t.used + n;
-  if t.used > t.limit then begin
-    Metrics.incr "budget/overruns";
-    Metrics.incr ("budget/overruns/" ^ stage);
-    raise (Exhausted { stage; limit = t.limit; used = t.used })
-  end;
+  if t.used > t.limit then
+    raise (Exhausted { stage; limit = t.limit; used = t.used });
   match t.timeout_ms with
   | None -> ()
   | Some timeout_ms ->
     let elapsed_ms =
       int_of_float ((Unix.gettimeofday () -. t.started) *. 1000.)
     in
-    if elapsed_ms > timeout_ms then begin
-      Metrics.incr "budget/deadline_overruns";
-      Metrics.incr ("budget/deadline_overruns/" ^ stage);
+    if elapsed_ms > timeout_ms then
       raise (Deadline_exceeded { stage; timeout_ms; elapsed_ms })
-    end
 
 let describe = function
   | Exhausted { stage; limit; used } ->

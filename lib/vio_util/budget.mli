@@ -61,10 +61,9 @@ val exhausted : t -> bool
 
 val spend : t -> stage:string -> int -> unit
 (** Charge [n] steps against the budget on behalf of [stage]. Raises
-    {!Exhausted} (and bumps the [budget/overruns] metrics counters) the
-    moment the total crosses the limit, then {!Deadline_exceeded}
-    (counters [budget/deadline_overruns]) when a wall-clock deadline is
-    set and has passed.
+    {!Exhausted} the moment the total crosses the limit, then
+    {!Deadline_exceeded} when a wall-clock deadline is set and has
+    passed.
     @raise Invalid_argument when [n] is negative. *)
 
 val describe : exn -> string option

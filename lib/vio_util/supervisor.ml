@@ -26,8 +26,6 @@ let note_fallback ~tag failures =
   match failures with
   | [] -> ()
   | first :: _ ->
-    Metrics.incr "supervisor/fallbacks";
-    Metrics.incr ("supervisor/fallback/" ^ tag);
     Printf.eprintf
       "verifyio: [supervisor] %s: %d domain failure(s) (%s); retrying \
        sequentially\n%!"

@@ -10,9 +10,7 @@
     handler, and whatever it raises comes back as a typed {!failure}
     value instead of a crash. Callers then apply their documented
     degradation — retry the work sequentially, quarantine the job — and
-    announce it through {!note_fallback}, which feeds the
-    [supervisor/fallbacks] metrics counter the torture campaign
-    tallies. *)
+    announce it through {!note_fallback}. *)
 
 type failure = {
   f_tag : string;  (** subsystem tag, e.g. ["batch.worker"] *)
@@ -30,6 +28,5 @@ val run_workers : tag:string -> domains:int -> (int -> unit) -> failure list
     worker-index order; an empty list means every worker finished. *)
 
 val note_fallback : tag:string -> failure list -> unit
-(** Record a degradation decision: bump [supervisor/fallbacks] and
-    [supervisor/fallback/<tag>] in {!Metrics} and print a one-line
-    diagnostic to stderr (never a backtrace). No-op on [[]]. *)
+(** Announce a degradation decision: print a one-line diagnostic to
+    stderr (never a backtrace). No-op on [[]]. *)

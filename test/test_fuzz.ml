@@ -49,7 +49,7 @@ let test_programs_nontrivial () =
 
 let test_fresh_seeds_agree () =
   for seed = 1 to 25 do
-    let divs = D.check_program ~domains:[ 1 ] (W.generate ~seed ()) in
+    let divs = D.check_program (W.generate ~seed ()) in
     check_int (Printf.sprintf "seed %d: no divergence" seed) 0
       (List.length divs)
   done
@@ -66,14 +66,14 @@ let test_mutation_caught_and_shrunk () =
      that reports none must diverge. *)
   let p = W.generate ~seed:41 () in
   check_int "clean without mutation" 0 (List.length (D.check_program p));
-  let divs = D.check_program ~mutation ~domains:[ 1 ] p in
+  let divs = D.check_program ~mutation p in
   check_bool "mutation caught" true (divs <> []);
   List.iter
     (fun (d : D.divergence) ->
       check_bool "only the broken subject diverges" true
         (d.D.subject = "engine:vector-clock"))
     divs;
-  let interesting q = D.check_program ~mutation ~domains:[ 1 ] q <> [] in
+  let interesting q = D.check_program ~mutation q <> [] in
   let shrunk = D.shrink ~interesting p in
   check_bool "shrunk repro has at most 10 steps" true
     (List.length shrunk.W.steps <= 10);
@@ -93,10 +93,11 @@ let test_shrink_respects_budget () =
   check_bool "at most budget evaluations" true (!calls <= 7)
 
 let test_subject_names () =
-  let names = D.subject_names ~domains:[ 1; 4 ] in
-  check_int "5 engines + sequential + shared + 2 batch" 9 (List.length names);
-  check_bool "batch subjects reflect domains" true
-    (List.mem "batch:1" names && List.mem "batch:4" names);
+  let names = D.subject_names in
+  check_int "5 engines + sequential + shared + batch" 8 (List.length names);
+  check_bool "one batch subject" true
+    (List.filter (fun n -> String.starts_with ~prefix:"batch" n) names
+    = [ "batch" ]);
   check_bool "interval-index is a subject" true
     (List.mem "engine:interval-index" names)
 
@@ -112,8 +113,7 @@ let test_corpus_replays_clean () =
     (fun f ->
       let nranks, records = Recorder.Codec.of_file (Filename.concat dir f) in
       let divs =
-        D.check ~domains:[ 1; 2 ] ~oracle:(V.Oracle.verify ~nranks records)
-          ~nranks records
+        D.check ~oracle:(V.Oracle.verify ~nranks records) ~nranks records
       in
       check_int (f ^ ": no divergence") 0 (List.length divs))
     traces
@@ -164,7 +164,7 @@ let prop_random_programs_agree =
     ~count:15
     QCheck2.Gen.(int_range 1000 9999)
     (fun seed ->
-      D.check_program ~domains:[ 1; 2 ] (W.generate ~seed ()) = [])
+      D.check_program (W.generate ~seed ()) = [])
 
 (* The lattice order is a semantic theorem, not just a syntactic check on
    MSCs: whenever [Model.implies m1 m2], every race reported under m2 is

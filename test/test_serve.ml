@@ -576,6 +576,47 @@ let test_daemon_admission_control () =
   in
   check_int "structured overload responses" 3 (List.length overloaded)
 
+(* The cache is an accelerator: when every store fails, both jobs still
+   end [done], the summary counts one failed store per verdict and the
+   cache stays empty. With the fabric off, a resubmission of either trace
+   is recomputed, not answered from a cache entry that was never
+   written. *)
+let test_daemon_cache_store_failures () =
+  let root = fresh_dir () in
+  let spool = Spool.layout root in
+  let traces = List.init 2 (fun i -> write_trace root i (60 + i)) in
+  List.iteri
+    (fun i trace ->
+      ignore (Spool.submit spool (spec ~id:(Printf.sprintf "s%d" i) ~trace ())))
+    traces;
+  F.clear ();
+  (match F.configure "cache.store=prob:1" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let summary =
+    Fun.protect ~finally:F.clear (fun () -> Daemon.run (daemon_cfg root))
+  in
+  check_int "both completed" 2 summary.Daemon.completed;
+  check_int "every store failed" 2 summary.Daemon.cache_store_failures;
+  List.iter
+    (fun id ->
+      match Spool.read_response spool ~id with
+      | Ok r -> check_string (id ^ " done") "done" r.Spool.r_status
+      | Error e -> Alcotest.fail e)
+    [ "s0"; "s1" ];
+  check_bool "no cache entry" true
+    (Array.for_all
+       (fun shard ->
+         Sys.readdir (Filename.concat spool.Spool.cache shard) = [||])
+       (Sys.readdir spool.Spool.cache));
+  ignore (Spool.submit spool (spec ~id:"again" ~trace:(List.hd traces) ()));
+  let summary2 = Daemon.run (daemon_cfg root) in
+  check_int "recomputed, not cached" 0 summary2.Daemon.cache_hits;
+  check_int "store succeeded" 0 summary2.Daemon.cache_store_failures;
+  match Spool.read_response spool ~id:"again" with
+  | Ok r -> check_bool "again computed fresh" false r.Spool.r_cached
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "serve"
     [
@@ -615,5 +656,7 @@ let () =
             test_daemon_crash_budget;
           Alcotest.test_case "admission control" `Quick
             test_daemon_admission_control;
+          Alcotest.test_case "failed cache stores are counted" `Quick
+            test_daemon_cache_store_failures;
         ] );
     ]

@@ -269,64 +269,6 @@ let prop_growbuf_matches_model =
         writes;
       G.contents g = Bytes.sub_string model 0 !eof)
 
-(* Metrics counters are lock-free atomics: totals accumulated from four
-   concurrent domains must equal the sequentially-computed totals. *)
-let test_metrics_domains () =
-  let module M = Vio_util.Metrics in
-  M.reset ();
-  let names = [| "m/a"; "m/b"; "m/c" |] in
-  let per_domain = 10_000 and domains = 4 in
-  let worker d () =
-    for i = 0 to per_domain - 1 do
-      let name = names.((i + d) mod Array.length names) in
-      M.incr name;
-      if i mod 7 = 0 then M.incr ~n:3 name
-    done;
-    M.observe "m/t" 0.001
-  in
-  let ds = List.init domains (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join ds;
-  let s = M.snapshot () in
-  (* each domain contributes per_domain bumps of 1 plus ceil(per_domain/7)
-     bumps of 3, spread round-robin over the names *)
-  let expected = Hashtbl.create 4 in
-  for d = 0 to domains - 1 do
-    for i = 0 to per_domain - 1 do
-      let name = names.((i + d) mod Array.length names) in
-      let n = if i mod 7 = 0 then 4 else 1 in
-      Hashtbl.replace expected name
-        (n + Option.value ~default:0 (Hashtbl.find_opt expected name))
-    done
-  done;
-  Array.iter
-    (fun name ->
-      Alcotest.(check int)
-        (name ^ " total matches sequential")
-        (Hashtbl.find expected name)
-        (M.find_counter s name))
-    names;
-  (match M.find_timer s "m/t" with
-  | Some t -> Alcotest.(check int) "timer count" domains t.M.count
-  | None -> Alcotest.fail "timer m/t missing");
-  M.reset ();
-  Alcotest.(check int) "reset clears counters" 0
-    (M.find_counter (M.snapshot ()) "m/a")
-
-let test_metrics_basics () =
-  let module M = Vio_util.Metrics in
-  M.reset ();
-  M.incr "x";
-  M.incr ~n:41 "x";
-  M.incr "y";
-  let s = M.snapshot () in
-  Alcotest.(check int) "x" 42 (M.find_counter s "x");
-  Alcotest.(check int) "y" 1 (M.find_counter s "y");
-  Alcotest.(check int) "absent" 0 (M.find_counter s "z");
-  Alcotest.(check (list string))
-    "counter names sorted" [ "x"; "y" ]
-    (List.map fst s.M.counters);
-  M.reset ()
-
 (* ------------------------------------------------------------------ *)
 (* Sha256                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -703,12 +645,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_stats_basics;
           Alcotest.test_case "degenerate" `Quick test_stats_degenerate;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "basics" `Quick test_metrics_basics;
-          Alcotest.test_case "4-domain totals match sequential" `Quick
-            test_metrics_domains;
         ] );
       ( "growbuf",
         [

@@ -1,6 +1,6 @@
 (* doc_check — keep the prose honest.
 
-   Four classes of documentation rot this tool catches:
+   Five classes of documentation rot this tool catches:
 
    1. Dead relative links: a [text](path) markdown link in README.md,
       DESIGN.md or docs/*.md whose target file no longer exists
@@ -17,6 +17,12 @@
    4. Stale failpoint sites: a SITE=POLICY spec (e.g.
       codec.read=fail@2) whose SITE is not in the `known_sites` registry
       of lib/vio_util/failpoint.ml (sites get deleted; specs don't).
+
+   5. Stale odoc module references in lib/**/*.mli: a {!Lib.M...} whose
+      module M has no .ml/.mli in library Lib's directory, or a bare
+      {!M...} that names no module under lib/ and nothing its own file
+      declares (modules get deleted; doc comments don't, and with odoc
+      absent nothing else resolves them).
 
    Run from anywhere with --root pointing at the workspace root. Exits
    non-zero with one line per problem; prints a one-line summary when
@@ -221,6 +227,108 @@ let check_specs sites md content =
         fail "%s:%d: stale failpoint site %s — not in the registry of \
               lib/vio_util/failpoint.ml" md (line_at content start) name)
 
+(* ---- 5. stale odoc module references ------------------------------ *)
+
+type library = {
+  dir : string;  (* lib/<dir> *)
+  wrapper : string option;  (* the dune (name ...), capitalized *)
+  modules : string list;  (* capitalized basenames of its .ml/.mli files *)
+}
+
+let libraries root =
+  let lib = Filename.concat root "lib" in
+  if not (Sys.file_exists lib && Sys.is_directory lib) then []
+  else
+    Sys.readdir lib |> Array.to_list |> List.sort compare
+    |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
+    |> List.map (fun d ->
+           let dir = Filename.concat lib d in
+           let dune = Filename.concat dir "dune" in
+           let wrapper =
+             if not (Sys.file_exists dune) then None
+             else
+               let src = read_file dune in
+               match
+                 Str.search_forward
+                   (Str.regexp "(name[ \t\n]+\\([a-z][a-z0-9_]*\\))")
+                   src 0
+               with
+               | _ -> Some (String.capitalize_ascii (Str.matched_group 1 src))
+               | exception Not_found -> None
+           in
+           let modules =
+             Sys.readdir dir |> Array.to_list
+             |> List.filter (fun f ->
+                    Filename.check_suffix f ".ml"
+                    || Filename.check_suffix f ".mli")
+             |> List.map (fun f ->
+                    String.capitalize_ascii (Filename.remove_extension f))
+             |> List.sort_uniq compare
+           in
+           { dir; wrapper; modules })
+
+(* An exception, module (type) or constructor of that name in [src]. *)
+let declares src name =
+  match
+    Str.search_forward
+      (Str.regexp
+         ("\\(exception\\|module\\|type\\|[|=]\\)[ \t\n]+" ^ name
+        ^ "\\b"))
+      src 0
+  with
+  | _ -> true
+  | exception Not_found -> false
+
+(* {!path}, {!kind:path} or {!!path}: the path is a dotted identifier. *)
+let odoc_ref_re =
+  Str.regexp "{!+\\([a-z]+:\\)?\\([A-Za-z_][A-Za-z0-9_'.]*\\)"
+
+let check_odoc_refs libs =
+  let wrappers =
+    List.filter_map (fun l -> Option.map (fun w -> (w, l)) l.wrapper) libs
+  in
+  let all_modules = List.concat_map (fun l -> l.modules) libs in
+  let capitalized s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z' in
+  let checked = ref 0 in
+  List.iter
+    (fun l ->
+      Sys.readdir l.dir |> Array.to_list |> List.sort compare
+      |> List.filter (fun f -> Filename.check_suffix f ".mli")
+      |> List.iter (fun f ->
+             let mli = Filename.concat l.dir f in
+             let src = read_file mli in
+             ignore
+               (each_match odoc_ref_re src (fun start ->
+                   let path = Str.matched_group 2 src in
+                   match String.split_on_char '.' path with
+                   | first :: rest when capitalized first -> (
+                     incr checked;
+                     let stale why =
+                       fail "%s:%d: stale module reference {!%s} — %s" mli
+                         (line_at src start) path why
+                     in
+                     match (List.assoc_opt first wrappers, rest) with
+                     | Some lib, m :: _ when capitalized m ->
+                       if not (List.mem m lib.modules) then
+                         stale
+                           (Printf.sprintf "%s has no %s.ml or %s.mli" lib.dir
+                              (String.uncapitalize_ascii m)
+                              (String.uncapitalize_ascii m))
+                     | Some _, _ -> ()
+                     | None, _ ->
+                       if
+                         not
+                           (List.mem first all_modules || declares src first)
+                       then
+                         stale
+                           (Printf.sprintf
+                              "no module %s under lib/, and the file \
+                               declares none"
+                              first))
+                   | _ -> ()))))
+    libs;
+  !checked
+
 (* ---- driver ------------------------------------------------------- *)
 
 let () =
@@ -255,11 +363,14 @@ let () =
       uses := !uses + check_subcommands cmds md content;
       specs := !specs + check_specs sites md content)
     mds;
+  let refs = check_odoc_refs (libraries !root) in
   if !errors > 0 then begin
     Printf.eprintf "doc-check: %d problem(s)\n" !errors;
     exit 1
   end;
   Printf.printf
     "doc-check: %d files, %d relative links, %d flag mentions, %d \
-     subcommand mentions, %d failpoint specs — all good\n"
+     subcommand mentions, %d failpoint specs%s — all good\n"
     (List.length mds) !links !mentions !uses !specs
+    (if refs > 0 then Printf.sprintf ", %d odoc module references" refs
+     else "")
