@@ -71,9 +71,13 @@ let sweep_file (arr : ival array) =
 
 let detect (e : E.t) =
   (* Gather intervals per file id. Iterating op indices ascending and
-     consing leaves each file's intervals in descending-index order — the
-     sweep's sort is not stable, so this initial order is part of the
-     contract with the boxed detector's output. *)
+     consing leaves each file's intervals in descending-index order. The
+     pair set does not depend on that order, nor on how the sweep's
+     unstable sort orders ties: of two intervals with equal [os], the
+     one sorted first scans on to the other, which starts before the
+     first one ends, so the pair is found either way; and every cell is
+     sorted before output. test_conflict's "interval sweep = brute
+     force" property checks the result. *)
   let by_fid : (int, ival list ref) Hashtbl.t = Hashtbl.create 16 in
   let n = E.length e in
   for i = 0 to n - 1 do

@@ -69,4 +69,17 @@ val run :
     races touching one (and no degraded op) are tagged
     {!Under_partial_order}. [budget], when given, is charged one step per
     properly-synchronized evaluation and the stage aborts with
-    {!Vio_util.Budget.Exhausted} when it runs out. *)
+    {!Vio_util.Budget.Exhausted} when it runs out.
+
+    Apart from the races it returns, the bookkeeping allocates no heap
+    block per pair. The memo of ordered-pair verdicts is one
+    open-addressing [int array]: a slot holds
+    [(a * nops + b) lsl 1 lor verdict] (8 bytes), or [-1] when empty. It
+    starts at 256 slots and doubles when more than half are full, so
+    each memoized check takes 16-32 bytes of live table. Racy pairs are
+    appended to a growable [int array] as [min * nops + max] (8 bytes a
+    note; each racy pair is noted from both of its mirrored groups),
+    which is sorted and deduplicated once before the race list is built.
+    Keys are below [nops * nops] and [key lsl 1] must fit a 63-bit int,
+    so [nops], the store's op count, must be below 2^30: [run] raises
+    [Invalid_argument] otherwise. *)

@@ -283,6 +283,129 @@ let prop_msc_matches_oracle =
             engines)
         (V.Model.all () @ [ fence ]))
 
+(* Verify.run's bookkeeping (the pair memo, the race set and the
+   per-kind boundary ops) against a reference built from the groups
+   alone: every distinct conflict pair x < y where neither
+   properly-synchronized direction holds, tagged by the confidence rule
+   and sorted by (rx, ry). *)
+let reference_races ~degraded ~partial model reach sidx groups =
+  let ps = V.Msc.properly_synchronized model reach sidx in
+  let pairs =
+    List.concat_map
+      (fun (g : V.Conflict.group) ->
+        List.concat_map
+          (fun (_rank, ys) ->
+            List.map
+              (fun y -> (min g.V.Conflict.x y, max g.V.Conflict.x y))
+              (Array.to_list ys))
+          g.V.Conflict.peers)
+      groups
+    |> List.sort_uniq compare
+  in
+  let races =
+    List.filter_map
+      (fun (x, y) ->
+        if ps ~x ~y || ps ~x:y ~y:x then None
+        else
+          let confidence =
+            if degraded x || degraded y then V.Verify.Under_degradation
+            else if partial x || partial y then V.Verify.Under_partial_order
+            else V.Verify.Definite
+          in
+          Some { V.Verify.rx = x; ry = y; confidence })
+      pairs
+  in
+  (races, List.length pairs)
+
+let show races =
+  let tag = function
+    | V.Verify.Definite -> ""
+    | V.Verify.Under_partial_order -> "p"
+    | V.Verify.Under_degradation -> "g"
+  in
+  String.concat " "
+    (List.map
+       (fun (r : V.Verify.race) ->
+         Printf.sprintf "%d-%d%s" r.V.Verify.rx r.V.Verify.ry
+           (tag r.V.Verify.confidence))
+       races)
+
+(* Runs Verify.run on one program under every registered model and the
+   opaque-predicate Fence model, with pruning on and off, both with no
+   degradation and with seeded synthetic [degraded] and [partial]
+   predicates. Fails on the first disagreement with the reference and
+   returns the most ps checks any one run made. *)
+let verify_matches_reference ~seed ~profile ?nranks ?max_steps () =
+  let p = W.generate ~profile ?nranks ?max_steps ~seed () in
+  let d = V.Estore.of_records ~nranks:p.W.nranks (W.run p) in
+  let groups = V.Conflict.detect d in
+  let reach =
+    V.Reach.create V.Reach.Vector_clock
+      (V.Hb_graph.build d (V.Match_mpi.run d))
+  in
+  let sidx = V.Msc.build_index d in
+  let marked salt i = Hashtbl.hash (seed, salt, i) mod 4 = 0 in
+  let never _ = false in
+  let predicates =
+    [
+      ("no degradation", never, never);
+      ("synthetic degradation", marked 1, marked 2);
+    ]
+  in
+  let max_checks = ref 0 in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun (label, degraded, partial) ->
+          let want, pairs =
+            reference_races ~degraded ~partial model reach sidx groups
+          in
+          List.iter
+            (fun pruning ->
+              let races, stats =
+                V.Verify.run ~pruning ~degraded ~partial model reach sidx d
+                  groups
+              in
+              let where =
+                Printf.sprintf "seed %d, %s, pruning %b, %s" seed
+                  model.V.Model.name pruning label
+              in
+              if races <> want then
+                QCheck2.Test.fail_reportf "%s:@ got %s@ reference %s" where
+                  (show races) (show want);
+              if stats.V.Verify.pairs <> pairs then
+                QCheck2.Test.fail_reportf "%s: stats.pairs %d, reference %d"
+                  where stats.V.Verify.pairs pairs;
+              max_checks := max !max_checks stats.V.Verify.ps_checks)
+            [ true; false ])
+        predicates)
+    (V.Model.all () @ [ fence ]);
+  !max_checks
+
+let prop_verify_matches_reference =
+  QCheck2.Test.make ~name:"Verify.run = reference race set, every model"
+    ~count:10 ~long_factor:5
+    ~print:(fun (seed, extended) ->
+      Printf.sprintf "seed %d, %s" seed
+        (if extended then "Extended" else "Classic"))
+    QCheck2.Gen.(pair (int_range 1 99999) bool)
+    (fun (seed, extended) ->
+      let profile = if extended then W.Extended else W.Classic in
+      ignore (verify_matches_reference ~seed ~profile ());
+      true)
+
+(* The memo starts at 256 slots and doubles once it holds more than
+   128 entries; this program makes one run check 1,000 or more pairs,
+   so the reference comparison covers a memo that has grown. *)
+let test_verify_reference_grown_memo () =
+  let checks =
+    verify_matches_reference ~seed:3 ~profile:W.Extended ~nranks:16
+      ~max_steps:80 ()
+  in
+  check_bool
+    (Printf.sprintf "one run made %d ps checks, at least 1000 wanted" checks)
+    true (checks >= 1000)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -315,5 +438,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_programs_agree;
           QCheck_alcotest.to_alcotest prop_lattice_monotone;
           QCheck_alcotest.to_alcotest prop_msc_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_verify_matches_reference;
+        ] );
+      ( "verify",
+        [
+          Alcotest.test_case "reference with a grown memo" `Quick
+            test_verify_reference_grown_memo;
         ] );
     ]

@@ -229,6 +229,44 @@ let test_deterministic_verdicts () =
     in
     check_bool "identical runs" true (run () = run ())
 
+(* Verify.run keeps its per-pair bookkeeping in flat int arrays (the
+   ordered-pair memo and the buffer of racy pair keys), so what it
+   allocates is those arrays' doublings and the race list it returns.
+   On tst_parallel5 at 48 ranks under Commit (2,256 conflict pairs, all
+   racy) that is 38.5 words a pair. The boxed bookkeeping it replaced (a
+   Hashtbl entry per ordered check, a Hashtbl keyed by a fresh tuple per
+   race, a sort comparing tuples and a list partition per group)
+   allocated 225.1 words a pair on the same run. OCaml 5 brings the
+   allocation counters up to date at minor collections, so the
+   measurement is bracketed by [Gc.minor ()] to count every word. *)
+let test_verify_words_per_pair () =
+  match Reg.find "tst_parallel5" with
+  | None -> Alcotest.fail "tst_parallel5 missing"
+  | Some w ->
+    let nranks = 48 in
+    let records = H.run { w with H.nranks = nranks } in
+    let d = V.Estore.of_records ~nranks records in
+    let groups = V.Conflict.detect d in
+    let reach =
+      V.Reach.create V.Reach.Vector_clock
+        (V.Hb_graph.build d (V.Match_mpi.run d))
+    in
+    let sidx = V.Msc.build_index d in
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let races, stats = V.Verify.run V.Model.commit reach sidx d groups in
+    Gc.minor ();
+    let words =
+      (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+    in
+    let per_pair = words /. float_of_int stats.V.Verify.pairs in
+    check_int "conflict pairs" 2256 stats.V.Verify.pairs;
+    check_int "races" 2256 (List.length races);
+    check_bool
+      (Printf.sprintf "%.1f words per conflict pair, at most 100 allowed"
+         per_pair)
+      true (per_pair <= 100.)
+
 let () =
   Alcotest.run "workloads"
     [
@@ -255,5 +293,10 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic_verdicts;
           Alcotest.test_case "trace-file round trip" `Slow
             test_trace_file_round_trip_preserves_verdicts;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "verify words per conflict pair" `Quick
+            test_verify_words_per_pair;
         ] );
     ]
