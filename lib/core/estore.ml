@@ -101,6 +101,11 @@ let tstart e i = e.tstart_c.(i)
 let tend e i = e.tend_c.(i)
 let layer e i = layer_of_tag.(Char.code (Bytes.get e.layer_c i))
 let func e i = Strpool.get e.pool e.func_c.(i)
+let func_id e i = e.func_c.(i)
+
+let func_id_of_name e name =
+  match Strpool.find_opt e.pool name with Some id -> id | None -> -1
+
 let ret e i = Strpool.get e.pool e.ret_c.(i)
 let in_flight e i = e.ret_c.(i) = e.in_flight_id
 let kind_tag e i = Char.code (Bytes.get e.kind_c i)
@@ -128,9 +133,9 @@ let arg e i j =
 
 let int_arg e i j =
   let s = arg e i j in
-  match int_of_string_opt s with
-  | Some n -> n
-  | None ->
+  match int_of_string s with
+  | n -> n
+  | exception Failure _ ->
     failwith
       (Format.asprintf "malformed trace: %s arg %d is %S, expected an int"
          (func e i) j s)
@@ -228,6 +233,16 @@ module Ivec = struct
 
   let get v i = v.chunks.(i lsr chunk_bits).(i land (chunk_size - 1))
 
+  (* Final column in push order, one blit per chunk. *)
+  let flatten v =
+    let a = Array.make v.n 0 in
+    Array.iteri
+      (fun c chunk ->
+        let off = c lsl chunk_bits in
+        if off < v.n then Array.blit chunk 0 a off (min chunk_size (v.n - off)))
+      v.chunks;
+    a
+
   (* Final column: elements permuted so slot i holds element [perm.(i)]. *)
   let permuted v perm = Array.map (fun i -> get v i) perm
 
@@ -258,6 +273,16 @@ module Svec = struct
     v.n <- v.n + 1
 
   let get v i = v.chunks.(i lsr Ivec.chunk_bits).(i land (Ivec.chunk_size - 1))
+
+  let flatten v =
+    let a = Array.make v.n "" in
+    Array.iteri
+      (fun c chunk ->
+        let off = c lsl Ivec.chunk_bits in
+        if off < v.n then
+          Array.blit chunk 0 a off (min Ivec.chunk_size (v.n - off)))
+      v.chunks;
+    a
 
   let release v =
     v.chunks <- [||];
@@ -393,55 +418,80 @@ let finish b =
   let in_flight_id = Strpool.intern pool Recorder.Trace.in_flight_ret in
   (* Op index order is (rank, seq, arrival): a stable sort by (rank, seq),
      exactly the order the boxed decoder produced. Both codecs deliver
-     records in that order, and skipping the sort then keeps its scratch
-     arrays out of a large load's peak. *)
-  let by_key a b' =
-    let c = Int.compare (Ivec.get b.b_rank a) (Ivec.get b.b_rank b') in
-    if c <> 0 then c else Int.compare (Ivec.get b.b_seq a) (Ivec.get b.b_seq b')
+     records in that order; the columns are then flattened chunk by
+     chunk, and only out-of-order input pays for a permutation. *)
+  let rec in_order i =
+    i >= n
+    ||
+    let r0 = Ivec.get b.b_rank (i - 1) and r1 = Ivec.get b.b_rank i in
+    (r0 < r1 || (r0 = r1 && Ivec.get b.b_seq (i - 1) <= Ivec.get b.b_seq i))
+    && in_order (i + 1)
   in
-  let rec in_order i = i >= n || (by_key (i - 1) i <= 0 && in_order (i + 1)) in
-  let perm = Array.init n Fun.id in
-  if not (in_order 1) then Array.stable_sort by_key perm;
-  let rank_c = Ivec.permuted b.b_rank perm in
-  Ivec.release b.b_rank;
-  let seq_c = Ivec.permuted b.b_seq perm in
-  Ivec.release b.b_seq;
-  let tstart_c = Ivec.permuted b.b_tstart perm in
-  Ivec.release b.b_tstart;
-  let tend_c = Ivec.permuted b.b_tend perm in
-  Ivec.release b.b_tend;
-  let func_c = Ivec.permuted b.b_func perm in
-  Ivec.release b.b_func;
-  let ret_c = Ivec.permuted b.b_ret perm in
-  Ivec.release b.b_ret;
+  let perm =
+    if in_order 1 then None
+    else begin
+      (* Two stable passes: by seq, then by rank. *)
+      let by_seq = Vio_util.Intsort.order (Ivec.flatten b.b_seq) in
+      let by_rank =
+        Vio_util.Intsort.order (Array.map (Ivec.get b.b_rank) by_seq)
+      in
+      Some (Array.map (fun k -> by_seq.(k)) by_rank)
+    end
+  in
+  let column v =
+    let c =
+      match perm with None -> Ivec.flatten v | Some p -> Ivec.permuted v p
+    in
+    Ivec.release v;
+    c
+  in
+  let rank_c = column b.b_rank in
+  let seq_c = column b.b_seq in
+  let tstart_c = column b.b_tstart in
+  let tend_c = column b.b_tend in
+  let func_c = column b.b_func in
+  let ret_c = column b.b_ret in
   let layer_c = Bytes.create (max 1 n) in
+  let src i = match perm with None -> i | Some p -> p.(i) in
   for i = 0 to n - 1 do
-    Bytes.set layer_c i (Char.chr (Ivec.get b.b_layer perm.(i)))
+    Bytes.set layer_c i (Char.chr (Ivec.get b.b_layer (src i)))
   done;
   Ivec.release b.b_layer;
-  (* Variable-length columns: permute the per-op slices. *)
-  let args_off = Array.make (n + 1) 0 in
-  let path_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let src = perm.(i) in
-    args_off.(i + 1) <-
-      args_off.(i) + (Ivec.get b.b_args_off (src + 1) - Ivec.get b.b_args_off src);
-    path_off.(i + 1) <-
-      path_off.(i) + (Ivec.get b.b_path_off (src + 1) - Ivec.get b.b_path_off src)
-  done;
-  let args_v = Array.make args_off.(n) "" in
-  let path_v = Array.make path_off.(n) 0 in
-  for i = 0 to n - 1 do
-    let src = perm.(i) in
-    let a0 = Ivec.get b.b_args_off src in
-    for k = 0 to Ivec.get b.b_args_off (src + 1) - a0 - 1 do
-      args_v.(args_off.(i) + k) <- Svec.get b.b_args (a0 + k)
-    done;
-    let p0 = Ivec.get b.b_path_off src in
-    for k = 0 to Ivec.get b.b_path_off (src + 1) - p0 - 1 do
-      path_v.(path_off.(i) + k) <- Ivec.get b.b_path (p0 + k)
-    done
-  done;
+  let args_off, args_v, path_off, path_v =
+    match perm with
+    | None ->
+      ( Ivec.flatten b.b_args_off,
+        Svec.flatten b.b_args,
+        Ivec.flatten b.b_path_off,
+        Ivec.flatten b.b_path )
+    | Some perm ->
+      (* Variable-length columns: permute the per-op slices. *)
+      let args_off = Array.make (n + 1) 0 in
+      let path_off = Array.make (n + 1) 0 in
+      for i = 0 to n - 1 do
+        let src = perm.(i) in
+        args_off.(i + 1) <-
+          args_off.(i)
+          + (Ivec.get b.b_args_off (src + 1) - Ivec.get b.b_args_off src);
+        path_off.(i + 1) <-
+          path_off.(i)
+          + (Ivec.get b.b_path_off (src + 1) - Ivec.get b.b_path_off src)
+      done;
+      let args_v = Array.make args_off.(n) "" in
+      let path_v = Array.make path_off.(n) 0 in
+      for i = 0 to n - 1 do
+        let src = perm.(i) in
+        let a0 = Ivec.get b.b_args_off src in
+        for k = 0 to Ivec.get b.b_args_off (src + 1) - a0 - 1 do
+          args_v.(args_off.(i) + k) <- Svec.get b.b_args (a0 + k)
+        done;
+        let p0 = Ivec.get b.b_path_off src in
+        for k = 0 to Ivec.get b.b_path_off (src + 1) - p0 - 1 do
+          path_v.(path_off.(i) + k) <- Ivec.get b.b_path (p0 + k)
+        done
+      done;
+      (args_off, args_v, path_off, path_v)
+  in
   Ivec.release b.b_args_off;
   Svec.release b.b_args;
   Ivec.release b.b_path_off;
@@ -632,9 +682,9 @@ let finish b =
     | (0 | 1 | 2 | 3), _ -> set_tag i tag_other
     | _ -> assert false
   in
-  (* Timestamp ties fall in op index, i.e. (rank, seq), order. *)
-  let order = Array.init n Fun.id in
-  Array.stable_sort (fun a b' -> Int.compare tstart_c.(a) tstart_c.(b')) order;
+  (* Timestamp ties fall in op index, i.e. (rank, seq), order. Each rank
+     chain is usually already in timestamp order, so the run merge takes
+     about log2 nranks passes. *)
   Array.iter
     (fun i ->
       let never_returned = ret_c.(i) = in_flight_id in
@@ -680,7 +730,7 @@ let finish b =
       | Invalid_argument msg ->
         (* e.g. negative lengths reaching interval construction *)
         raise (Malformed ("invalid value in trace: " ^ msg)))
-    order;
+    (Vio_util.Intsort.order tstart_c);
   let by_rank = Array.make b.b_nranks [||] in
   let counts = Array.make b.b_nranks 0 in
   for i = 0 to n - 1 do

@@ -78,11 +78,14 @@ val builder : ?mode:Recorder.Diagnostic.mode -> nranks:int -> unit -> builder
 val add : builder -> Recorder.Record.t -> unit
 val finish : builder -> t
 (** Freeze the store. Op indices follow a stable sort by (rank, seq), so
-    records with equal keys keep their arrival order; the sort runs only
-    when the records did not arrive in that order. Classification
-    replays the ops in timestamp order, ties in op index order. One load
-    forces one major GC cycle, to reclaim the builder's columns before
-    the classification columns are allocated. *)
+    records with equal keys keep their arrival order. Records that
+    arrive in that order, as both codecs deliver them, are copied out of
+    the builder a chunk at a time; only other input is permuted.
+    Classification replays the ops in [tstart] order, equal timestamps in
+    op index, i.e. (rank, seq), order; {!Vio_util.Intsort.order} merges
+    the rank chains, which are usually each in [tstart] order already.
+    One load forces one major GC cycle, to reclaim the builder's columns
+    before the classification columns are allocated. *)
 
 (** {1 Store-wide accessors} *)
 
@@ -113,6 +116,15 @@ val tend : t -> int -> int
 val layer : t -> int -> Recorder.Record.layer
 val func : t -> int -> string
 val ret : t -> int -> string
+
+val func_id : t -> int -> int
+(** The op's function name as an id of the store's string pool: two ops
+    call the same function exactly when their ids are equal. Lets hot
+    loops dispatch on an int compare instead of a string match. *)
+
+val func_id_of_name : t -> string -> int
+(** The id {!func_id} returns for ops calling the named function, or [-1]
+    when no string of the store has that name (then no op has it). *)
 
 val in_flight : t -> int -> bool
 (** Did the call never return (ret is {!Recorder.Trace.in_flight_ret})? *)

@@ -22,7 +22,31 @@
 
     Records whose call never returned (in-flight at an abort) match
     positionally but yield incomplete events, which contribute no
-    happens-before edges. *)
+    happens-before edges.
+
+    {b Observable orders.} Both lists of a {!result} are deterministic
+    for a given store, but only partly sorted, and reports, the
+    happens-before graph and the golden digests see them as they come:
+    - [events]: the collectives first, communicator by communicator (the
+      world communicator, then each one in the order its creation was
+      matched), positions in order; then the point-to-point pairs,
+      channel by channel, each channel's pairs in program order. The
+      channel order is the iteration order of an OCaml [Hashtbl] keyed
+      by (comm, src, dst, tag) that received one insertion per channel:
+      channels with sends by their latest send, latest first, then the
+      others by their latest receive, latest first.
+    - [unmatched]: collective mismatches and orphans as matching meets
+      them; orphans on communicators never created, in the iteration
+      order of a [Hashtbl] keyed by (comm, rank) filled in op order;
+      each channel's leftover sends or receives, in channel order;
+      receives that never returned or whose source cannot be resolved,
+      in op order; last, posted receives that never completed, in the
+      iteration order of the [Hashtbl] keyed by (rank, request id) that
+      held them while they were posted.
+    - [diagnostics]: in lenient mode, completion records that failed to
+      parse (op order), then collective records and positions, then
+      point-to-point records (op order).
+    The order of [comm_ranks] is by communicator id. *)
 
 type event =
   | P2p of { send : int; completion : int }
@@ -110,11 +134,16 @@ val entry_diagnostic : entry -> Recorder.Diagnostic.t
     diagnostic. *)
 
 val run : ?mode:Recorder.Diagnostic.mode -> Estore.t -> result
-(** Strict mode (default) propagates {!Estore.Malformed} on corrupt MPI
-    arguments. Lenient mode never raises: a record whose fields cannot be
-    parsed is dropped from matching with a diagnostic, and a collective
-    position that references it is treated like a mismatch (subsequent
-    calls on that communicator become {!Orphan_collective}). *)
+(** Strict mode (default) propagates {!Estore.Malformed} (or the
+    [Failure] of {!Estore.int_arg}) on corrupt MPI arguments, the first
+    in the order completion records, collective records, collective
+    positions, point-to-point records. Lenient mode never raises: a
+    record whose fields cannot be parsed is dropped from matching with a
+    diagnostic, and a collective position that references it is treated
+    like a mismatch (subsequent calls on that communicator become
+    {!Orphan_collective}). A failing completion record is reported twice,
+    as a completion record and as a point-to-point record, and the
+    request ids it listed before the bad field still complete. *)
 
 val is_clean : result -> bool
 (** No unmatched diagnostics. *)

@@ -1,3 +1,5 @@
+module Intbuf = Vio_util.Intbuf
+
 type confidence = Definite | Under_partial_order | Under_degradation
 
 type race = { rx : int; ry : int; confidence : confidence }
@@ -50,19 +52,6 @@ let grow m =
   m.slots <- slots;
   m.bits <- bits
 
-(* Racy pairs as [min * nops + max], in the order they are noted: a
-   growable int buffer holding [len] keys. *)
-type racy = { mutable buf : int array; mutable len : int }
-
-let push r key =
-  if r.len = Array.length r.buf then begin
-    let buf = Array.make (2 * r.len) 0 in
-    Array.blit r.buf 0 buf 0 r.len;
-    r.buf <- buf
-  end;
-  r.buf.(r.len) <- key;
-  r.len <- r.len + 1
-
 let run ?(pruning = true) ?(degraded = no_degradation)
     ?(partial = no_degradation) ?budget model reach sidx (d : Estore.t)
     groups =
@@ -92,9 +81,10 @@ let run ?(pruning = true) ?(degraded = no_degradation)
     end
   in
   let rule_hits = Array.make 4 0 in
-  let racy = { buf = Array.make 16 0; len = 0 } in
+  (* Racy pairs as [min * nops + max], in the order they are noted. *)
+  let racy = Intbuf.create () in
   let note_race a b =
-    push racy (if a < b then (a * nops) + b else (b * nops) + a)
+    Intbuf.push racy (if a < b then (a * nops) + b else (b * nops) + a)
   in
   let decide x ys =
     let n = Array.length ys in
@@ -170,8 +160,8 @@ let run ?(pruning = true) ?(degraded = no_degradation)
      the trace) is only as good as what survived decoding; one that rests
      on a rank with unmatched MPI calls holds only modulo the ordering
      those calls would have contributed. *)
-  let keys = Array.sub racy.buf 0 racy.len in
-  Array.stable_sort Int.compare keys;
+  let keys = Array.sub racy.Intbuf.buf 0 racy.Intbuf.len in
+  Vio_util.Intsort.sort keys;
   let last = Array.length keys - 1 in
   let race_list = ref [] in
   for i = last downto 0 do

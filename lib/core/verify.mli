@@ -77,9 +77,10 @@ val run :
     [(a * nops + b) lsl 1 lor verdict] (8 bytes), or [-1] when empty. It
     starts at 256 slots and doubles when more than half are full, so
     each memoized check takes 16-32 bytes of live table. Racy pairs are
-    appended to a growable [int array] as [min * nops + max] (8 bytes a
+    appended to a {!Vio_util.Intbuf.t} as [min * nops + max] (8 bytes a
     note; each racy pair is noted from both of its mirrored groups),
-    which is sorted and deduplicated once before the race list is built.
+    which {!Vio_util.Intsort.sort} sorts once, without a comparison
+    closure, before it is deduplicated into the race list.
     Keys are below [nops * nops] and [key lsl 1] must fit a 63-bit int,
     so [nops], the store's op count, must be below 2^30: [run] raises
     [Invalid_argument] otherwise. *)

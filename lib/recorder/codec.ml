@@ -452,10 +452,18 @@ let decode_from ?(mode = Diagnostic.Strict) rd ~emit =
     let kept = ref 0 in
     let attempts = ref 0 in
     let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+    (* Lenient mode drops a last record line that lacks its newline: a
+       cut inside the line can leave a shorter line that still parses as
+       a different record (docs/format.md §5). *)
+    let cut_last = ref false in
     let read_one () =
       let l, byte = Option.get (rd_next rd) in
       let ln = rd.consumed in
       if l = "" then false
+      else if mode = Diagnostic.Lenient && rd_peek rd = None then begin
+        cut_last := true;
+        false
+      end
       else begin
         incr attempts;
         let recno = !attempts in
@@ -509,7 +517,10 @@ let decode_from ?(mode = Diagnostic.Strict) rd ~emit =
           problem ~line:rd.consumed ~fault:Diagnostic.Truncated_trace
             "record %d of %d lost to truncation or corruption" i n
         done
-      | _ -> ()));
+      | _ ->
+        if !cut_last then
+          problem ~line:rd.consumed ~fault:Diagnostic.Truncated_trace
+            "last record line has no newline; dropped as cut short"));
     let nranks =
       match nranks_opt with Some n -> n | None -> !max_rank + 1
     in

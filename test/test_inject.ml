@@ -171,6 +171,54 @@ let test_truncation_every_boundary_exhaustive () =
     check_bool "records bounded" true (List.length dec.Codec.records <= 2)
   done
 
+(* A cut inside the last record line's last token can leave a shorter
+   line that still parses: "... 1 15" cut to "... 1 1" names dictionary
+   entry 1 where the record named entry 15. Lenient decode must drop the
+   unterminated line and report it lost, not return a different record. *)
+let test_cut_last_token () =
+  let mk seq func call_path =
+    {
+      R.rank = 0;
+      seq;
+      tstart = seq;
+      tend = seq + 1;
+      layer = R.Posix;
+      func;
+      args = [||];
+      ret = "0";
+      call_path;
+    }
+  in
+  let records =
+    List.init 16 (fun k -> mk k (Printf.sprintf "f%02d" k) [])
+    @ [ mk 16 "unlink" [ (R.Posix, "f15") ] ]
+  in
+  let encoded = Codec.encode ~nranks:1 records in
+  check_bool "last line ends in entry 15" true
+    (String.ends_with ~suffix:" 1 15\n" encoded);
+  let cut = String.sub encoded 0 (String.length encoded - 2) in
+  let dec = Codec.decode_ext ~mode:D.Lenient cut in
+  check_int "cut record dropped" 16 (List.length dec.Codec.records);
+  check_bool "no record names entry 1 instead" true
+    (List.for_all (fun (r : R.t) -> r.R.call_path = []) dec.Codec.records);
+  check_int "reported lost once" 1
+    (D.count_class D.Truncated_trace dec.Codec.diagnostics);
+  check_int "nothing else reported" 1 (List.length dec.Codec.diagnostics);
+  (* With no record count to check against, the drop is reported itself. *)
+  let headerless =
+    String.concat "\n"
+      (List.filter
+         (fun l -> not (String.starts_with ~prefix:"records " l))
+         (String.split_on_char '\n' cut))
+  in
+  let dec = Codec.decode_ext ~mode:D.Lenient headerless in
+  check_int "headerless: cut record dropped" 16 (List.length dec.Codec.records);
+  check_int "headerless: reported lost" 1
+    (D.count_class D.Truncated_trace dec.Codec.diagnostics);
+  (* A trace that ends in its newline loses nothing. *)
+  check_int "whole trace intact" 17
+    (List.length (Codec.decode_ext ~mode:D.Lenient encoded).Codec.records)
+
 (* ------------------------------------------------------------------ *)
 (* Verdict confidence                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -266,6 +314,8 @@ let () =
             test_lenient_equals_strict_on_pristine;
           Alcotest.test_case "exhaustive truncation" `Quick
             test_truncation_every_boundary_exhaustive;
+          Alcotest.test_case "cut inside the last token" `Quick
+            test_cut_last_token;
           QCheck_alcotest.to_alcotest prop_faults_all_detected;
           QCheck_alcotest.to_alcotest prop_lenient_pipeline_never_raises;
           QCheck_alcotest.to_alcotest prop_truncation_at_every_boundary;

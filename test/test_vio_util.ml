@@ -615,6 +615,55 @@ let test_budget_deadline () =
           { stage = "s"; timeout_ms = 10; elapsed_ms = 12 })
     <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Intsort                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Key arrays shaped to hit every path of the sort: random keys over a
+   narrow range (many ties), long runs of one key, presorted rank-chain
+   style runs, descending input, and lengths 0 and 1. *)
+let gen_keys =
+  let open QCheck2.Gen in
+  let len = oneof [ return 0; return 1; int_range 2 40; int_range 40 2000 ] in
+  let of_list l = return (Array.of_list l) in
+  oneof
+    [
+      (len >>= fun n -> list_repeat n (int_range 0 5) >>= of_list);
+      (len >>= fun n -> list_repeat n (int_range (-1000) 1000) >>= of_list);
+      ( len >>= fun n ->
+        int_range 1 50 >>= fun run ->
+        int_range 0 3 >>= fun k ->
+        return (Array.init n (fun i -> (i / run) mod (k + 1))) );
+      (len >>= fun n -> return (Array.init n (fun i -> n - i)));
+      (len >>= fun n -> return (Array.init n (fun i -> (n - i) / 7)));
+      ( len >>= fun n ->
+        int_range 1 8 >>= fun chains ->
+        list_repeat n (int_range 0 3) >>= fun steps ->
+        (* [chains] runs, each non-decreasing, laid end to end. *)
+        let steps = Array.of_list steps in
+        let per = max 1 (n / chains) in
+        return
+          (Array.init n (fun i ->
+               if i mod per = 0 then steps.(i) else steps.(i) + i - (i mod per))) );
+    ]
+
+let prop_intsort_order =
+  QCheck2.Test.make ~name:"Intsort.order = Array.stable_sort on indices"
+    ~count:500 gen_keys (fun keys ->
+      let want = Array.init (Array.length keys) Fun.id in
+      Array.stable_sort (fun i j -> compare keys.(i) keys.(j)) want;
+      let before = Array.copy keys in
+      let got = Vio_util.Intsort.order keys in
+      got = want && keys = before)
+
+let prop_intsort_sort =
+  QCheck2.Test.make ~name:"Intsort.sort = Array.stable_sort" ~count:500
+    gen_keys (fun keys ->
+      let want = Array.copy keys in
+      Array.stable_sort compare want;
+      Vio_util.Intsort.sort keys;
+      keys = want)
+
 let () =
   Alcotest.run "vio_util"
     [
@@ -693,4 +742,9 @@ let () =
         ] );
       ( "budget",
         [ Alcotest.test_case "wall-clock deadline" `Quick test_budget_deadline ] );
+      ( "intsort",
+        [
+          QCheck_alcotest.to_alcotest prop_intsort_order;
+          QCheck_alcotest.to_alcotest prop_intsort_sort;
+        ] );
     ]
