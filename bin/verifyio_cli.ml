@@ -228,7 +228,9 @@ let convert_cmd source out to_format =
         | Recorder.Codec.Binary -> Recorder.Codec.Text)
     | f -> resolve_format f
   in
-  let* nranks, records = reading (fun () -> Recorder.Codec.decode encoded) in
+  let* { Recorder.Codec.nranks; records; _ } =
+    reading (fun () -> Recorder.Codec.decode_ext encoded)
+  in
   let data = Recorder.Codec.encode_format to_fmt ~nranks records in
   let path =
     match out with
@@ -481,13 +483,13 @@ let fuzz_replay path models =
   let bad = ref 0 in
   List.iter
     (fun f ->
-      match Recorder.Codec.of_file f with
+      match Recorder.Codec.decode_ext (Recorder.Codec.read_file f) with
       | exception Recorder.Codec.Malformed { line; byte; record; reason } ->
         incr bad;
         Printf.printf "  %s: cannot decode (%s): %s\n" (Filename.basename f)
           (malformed_pos ~line ~byte ~record)
           reason
-      | nranks, records ->
+      | { Recorder.Codec.nranks; records; _ } ->
         let oracle = Verifyio.Oracle.verify ~models ~nranks records in
         oracle_line ~label:(Filename.basename f) ~nranks records oracle;
         let divs = Viogen.Diff.check ~oracle ~nranks records in

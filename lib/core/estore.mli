@@ -59,33 +59,27 @@ val of_records :
     as {!Other} (preserving program order for the happens-before graph),
     flagged {!degraded}, and explained in {!diagnostics}; in-flight calls
     and I/O on descriptors whose open was lost are reported likewise.
-    Records attributed to out-of-range ranks are dropped. *)
+    Records attributed to out-of-range ranks are dropped.
+
+    Op indices follow a stable sort by (rank, seq), so records with equal
+    keys keep their input order. Records that arrive in that order, as
+    both codecs deliver them, are copied into the columns a chunk at a
+    time; only other input is permuted. Classification replays the ops
+    in [tstart] order, equal timestamps in op index, i.e. (rank, seq),
+    order; {!Vio_util.Intsort.order} merges the rank chains, which are
+    usually each in [tstart] order already. One load forces one major GC
+    cycle, to reclaim the staging columns before the classification
+    columns are allocated. *)
 
 val of_file : ?mode:Recorder.Diagnostic.mode -> string -> t
 (** Decode a trace file straight into the store, streaming records through
     {!Recorder.Codec.fold_records} — no [Record.t list] is ever built, so
-    peak memory is the columns plus one codec chunk. Codec diagnostics
-    precede decode diagnostics in {!diagnostics}, as in the two-step
-    boxed path. The load runs with the major GC's [space_overhead]
-    lowered to 40; concurrent loads share one override, which is restored
-    when the last of them returns. *)
-
-type builder
-(** Accumulates records one at a time (unsorted); {!finish} sorts,
-    classifies and freezes the columns. *)
-
-val builder : ?mode:Recorder.Diagnostic.mode -> nranks:int -> unit -> builder
-val add : builder -> Recorder.Record.t -> unit
-val finish : builder -> t
-(** Freeze the store. Op indices follow a stable sort by (rank, seq), so
-    records with equal keys keep their arrival order. Records that
-    arrive in that order, as both codecs deliver them, are copied out of
-    the builder a chunk at a time; only other input is permuted.
-    Classification replays the ops in [tstart] order, equal timestamps in
-    op index, i.e. (rank, seq), order; {!Vio_util.Intsort.order} merges
-    the rank chains, which are usually each in [tstart] order already.
-    One load forces one major GC cycle, to reclaim the builder's columns
-    before the classification columns are allocated. *)
+    peak memory is the columns plus one codec block. The store is built
+    as {!of_records} builds it: the same op order, [tstart] tie order and
+    one major GC cycle. Codec diagnostics precede decode diagnostics in
+    {!diagnostics}, as in the two-step boxed path. The load runs with the
+    major GC's [space_overhead] lowered to 40; concurrent loads share one
+    override, which is restored when the last of them returns. *)
 
 (** {1 Store-wide accessors} *)
 

@@ -701,7 +701,9 @@ let match_p2p st =
             let p = posted.Tup.vals.(s) in
             if p >= 0 then begin
               (* Re-posting a live (rank, rid) replaces its receive in
-                 place. *)
+                 place; the displaced receive can no longer complete. *)
+              pending_unmatched :=
+                Unmatched_recv posts.Intbuf.buf.(5 * p) :: !pending_unmatched;
               posts.Intbuf.buf.(5 * p) <- i;
               posts.Intbuf.buf.((5 * p) + 1) <- comm
             end

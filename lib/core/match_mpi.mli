@@ -39,10 +39,11 @@
       them; orphans on communicators never created, in the iteration
       order of a [Hashtbl] keyed by (comm, rank) filled in op order;
       each channel's leftover sends or receives, in channel order;
-      receives that never returned or whose source cannot be resolved,
-      in op order; last, posted receives that never completed, in the
-      iteration order of the [Hashtbl] keyed by (rank, request id) that
-      held them while they were posted.
+      receives that never returned, whose source cannot be resolved, or
+      whose request id was posted again while they were still posted
+      (reported at the re-posting), in op order; last, posted receives
+      that never completed, in the iteration order of the [Hashtbl]
+      keyed by (rank, request id) that held them while they were posted.
     - [diagnostics]: in lenient mode, completion records that failed to
       parse (op order), then collective records and positions, then
       point-to-point records (op order).

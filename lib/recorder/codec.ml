@@ -131,51 +131,59 @@ let encode ~nranks records =
   Buffer.contents buf
 
 (* ---------------------------------------------------------------- *)
-(* Line sources                                                       *)
+(* Inputs and the line source                                         *)
 (* ---------------------------------------------------------------- *)
+
+(* A trace to decode: [len] bytes, of which [read pos buf off n] copies
+   [pos .. pos + n - 1] into [buf] at [off]. Built from a string or from
+   an open channel, so both entry points run the same decoders. *)
+type input = { len : int; read : int -> Bytes.t -> int -> int -> unit }
+
+let input_of_string s =
+  {
+    len = String.length s;
+    read = (fun pos buf off n -> Bytes.blit_string s pos buf off n);
+  }
+
+let input_of_channel ic =
+  {
+    len = in_channel_length ic;
+    read =
+      (fun pos buf off n ->
+        seek_in ic pos;
+        really_input ic buf off n);
+  }
+
+let block input pos len =
+  let b = Bytes.create len in
+  input.read pos b 0 len;
+  b
+
+let chunk = 1 lsl 16
 
 (* A pull source of [(line, byte_offset_of_line_start)] with the exact
    segmentation of [String.split_on_char '\n']: one segment per newline
    plus one final segment after the last newline (possibly empty). The
    decoder consumes lines strictly sequentially with one line of
-   lookahead, so traces are never resident as one string — the channel
-   source reads fixed-size chunks. *)
-
-let source_of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let finished = ref false in
-  fun () ->
-    if !finished then None
-    else begin
-      let start = !pos in
-      match String.index_from_opt s start '\n' with
-      | Some i ->
-        pos := i + 1;
-        Some (String.sub s start (i - start), start)
-      | None ->
-        finished := true;
-        Some (String.sub s start (n - start), start)
-    end
-
-let default_chunk = 1 lsl 16
-
-let source_of_channel ?(chunk = default_chunk) ic =
+   lookahead, and the input is read [chunk] bytes at a time, so a file
+   is never resident as one string. *)
+let lines input =
   let q = Queue.create () in
   let partial = Buffer.create 256 in
   let partial_start = ref 0 in
   let offset = ref 0 in
   let finished = ref false in
-  let bytes = Bytes.create chunk in
+  let bytes = Bytes.create (min chunk input.len) in
   let rec fill () =
     if Queue.is_empty q && not !finished then begin
-      let n = input ic bytes 0 chunk in
+      let n = min chunk (input.len - !offset) in
       if n = 0 then begin
         Queue.add (Buffer.contents partial, !partial_start) q;
         Buffer.clear partial;
         finished := true
       end
       else begin
+        input.read !offset bytes 0 n;
         let start = ref 0 in
         for i = 0 to n - 1 do
           if Bytes.get bytes i = '\n' then begin
@@ -340,7 +348,7 @@ let parse_record ~mode ~lookup ~nranks_opt ~line l =
 (* The streaming decode core: pulls lines from [rd] one at a time and
    hands salvaged records to [emit] in parse order. Returns
    [(nranks, emitted_count, diagnostics)]. *)
-let decode_from ?(mode = Diagnostic.Strict) rd ~emit =
+let decode_from ~mode rd ~emit =
   let diags = ref [] in
   let diag d = diags := d :: !diags in
   (* [problem] raises in strict mode and records a diagnostic in lenient
@@ -452,15 +460,19 @@ let decode_from ?(mode = Diagnostic.Strict) rd ~emit =
     let kept = ref 0 in
     let attempts = ref 0 in
     let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
-    (* Lenient mode drops a last record line that lacks its newline: a
-       cut inside the line can leave a shorter line that still parses as
-       a different record (docs/format.md §5). *)
+    (* A last record line that lacks its newline was cut short: a cut
+       inside the line can leave a shorter line that still parses as a
+       different record (docs/format.md §5.5). Strict mode refuses the
+       trace; lenient mode drops the line. *)
     let cut_last = ref false in
     let read_one () =
       let l, byte = Option.get (rd_next rd) in
       let ln = rd.consumed in
       if l = "" then false
-      else if mode = Diagnostic.Lenient && rd_peek rd = None then begin
+      else if rd_peek rd = None then begin
+        if mode = Diagnostic.Strict then
+          malformed ~line:ln ~byte ~record:(!attempts + 1)
+            "last record line has no newline; cut short (format.md §5.5)";
         cut_last := true;
         false
       end
@@ -526,22 +538,6 @@ let decode_from ?(mode = Diagnostic.Strict) rd ~emit =
     in
     finish ~nranks
 
-let decode_text_ext ?mode s =
-  let acc = ref [] in
-  let nranks, _, diagnostics =
-    decode_from ?mode (reader (source_of_string s)) ~emit:(fun r ->
-        acc := r :: !acc)
-  in
-  { nranks; records = List.rev !acc; diagnostics }
-
-let encode_trace t = encode ~nranks:(Trace.nranks t) (Trace.records t)
-
-let to_file path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (encode_trace t))
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
@@ -563,24 +559,6 @@ type 'a folded = {
   f_records : int;
   f_diagnostics : Diagnostic.t list;
 }
-
-let fold_text_records ?mode ?chunk path ~init ~f =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let acc = ref init in
-      let nranks, count, diagnostics =
-        decode_from ?mode
-          (reader (source_of_channel ?chunk ic))
-          ~emit:(fun r -> acc := f !acc r)
-      in
-      {
-        f_nranks = nranks;
-        f_value = !acc;
-        f_records = count;
-        f_diagnostics = diagnostics;
-      })
 
 (* ---------------------------------------------------------------- *)
 (* Binary codec v2                                                    *)
@@ -604,14 +582,6 @@ let format_name = function Text -> "text" | Binary -> "binary"
 
 let detect s =
   if String.length s >= 8 && String.sub s 0 8 = magic_v2 then Binary else Text
-
-let detect_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = min 8 (in_channel_length ic) in
-      detect (really_input_string ic n))
 
 (* Layer tags (§3.4.1): the wire byte for each interception layer, in
    {!Record.all_layers} order. *)
@@ -757,10 +727,10 @@ let encode_binary ~nranks records =
 
 (* ---- binary decoding ---- *)
 
-(* A cursor over a byte window. [base] is the absolute file/string offset
-   of [buf].[0], so Malformed positions are absolute (§4). The text
-   decoder reports 1-based lines; binary positions are pure byte offsets,
-   reported with [line = 0]. *)
+(* A cursor over a block of the input. [base] is the absolute input
+   offset of [buf].[0], so Malformed positions are absolute (§4). The
+   text decoder reports 1-based lines; binary positions are pure byte
+   offsets, reported with [line = 0]. *)
 type bin_cur = {
   bc_buf : Bytes.t;
   bc_base : int;
@@ -768,9 +738,8 @@ type bin_cur = {
   bc_len : int;
 }
 
-let cur_of_bytes ?(base = 0) ?(pos = 0) ?len buf =
-  let len = match len with Some l -> l | None -> Bytes.length buf in
-  { bc_buf = buf; bc_base = base; bc_pos = pos; bc_len = len }
+let cur_of_bytes ?(base = 0) buf =
+  { bc_buf = buf; bc_base = base; bc_pos = 0; bc_len = Bytes.length buf }
 
 let bin_error cur fmt =
   Printf.ksprintf
@@ -787,6 +756,8 @@ let read_byte cur =
   cur.bc_pos <- cur.bc_pos + 1;
   b
 
+(* A value with bit 62 set reads as a negative int, so every count and
+   length bound below also rejects negatives as overruns. *)
 let read_uvarint cur =
   let b0 = read_byte cur in
   if b0 < 0x80 then b0
@@ -841,16 +812,19 @@ let read_bin_header cur =
   if flags <> 0 then
     bin_error cur "reserved flags %#x must be zero (format.md §3.1)" flags;
   let nranks = read_uvarint cur in
+  if nranks < 0 then
+    bin_error cur "rank count %d is negative as an OCaml int (format.md §3.1)"
+      nranks;
   (flags, nranks)
 
 (* §3.2 string pool. *)
 let read_pool cur =
   let count = read_uvarint cur in
-  if count > cur.bc_len - cur.bc_pos then
+  if count < 0 || count > cur.bc_len - cur.bc_pos then
     bin_error cur "pool count %d exceeds remaining input (format.md §3.2)" count;
   Array.init count (fun _ ->
       let len = read_uvarint cur in
-      if len > cur.bc_len - cur.bc_pos then
+      if len < 0 || len > cur.bc_len - cur.bc_pos then
         bin_error cur "pool entry overruns input (format.md §3.2)";
       let s = Bytes.sub_string cur.bc_buf cur.bc_pos len in
       cur.bc_pos <- cur.bc_pos + len;
@@ -937,12 +911,12 @@ let read_bin_record ~pool ~rank cur =
   let fidx = read_uvarint cur in
   let ridx = read_uvarint cur in
   let nargs = read_uvarint cur in
-  if nargs > cur.bc_len - cur.bc_pos then
+  if nargs < 0 || nargs > cur.bc_len - cur.bc_pos then
     bin_error cur "argument count %d overruns the segment (format.md §3.4)"
       nargs;
   let argids = Array.init nargs (fun _ -> read_uvarint cur) in
   let npath = read_uvarint cur in
-  if npath > (cur.bc_len - cur.bc_pos + 1) / 2 then
+  if npath < 0 || npath > (cur.bc_len - cur.bc_pos + 1) / 2 then
     bin_error cur "call-path length %d overruns the segment (format.md §3.4)"
       npath;
   let pathids =
@@ -1048,58 +1022,6 @@ let decode_segment ~mode ~pool ~rank ~expected ~diag ~emit cur =
              rank !emitted reason)));
   !emitted
 
-(* Strict whole-string binary decode; also the engine for lenient decode
-   when the footer is intact. *)
-let decode_binary_with_footer ~mode s ~emit =
-  let total = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let diags = ref [] in
-  let diag d = diags := d :: !diags in
-  let cur = cur_of_bytes b in
-  let _flags, nranks = read_bin_header cur in
-  let header_end = cur.bc_pos in
-  let footer_start =
-    read_footer_locator ~total (cur_of_bytes ~base:0 ~pos:(total - 16) b)
-  in
-  let ft = read_footer ~nranks ~total (cur_of_bytes ~pos:footer_start b) in
-  if ft.ft_pool_offset <> header_end then
-    bin_error cur
-      "pool offset %d in the footer disagrees with the header end %d \
-       (format.md §3.5)"
-      ft.ft_pool_offset header_end;
-  let crc =
-    Vio_util.Crc32.finish
-      (Vio_util.Crc32.update Vio_util.Crc32.init b ~pos:0 ~len:footer_start)
-  in
-  if crc <> ft.ft_crc then begin
-    let reason =
-      Printf.sprintf "body CRC-32 is %08x, footer says %08x (format.md §3.5)"
-        crc ft.ft_crc
-    in
-    match mode with
-    | Diagnostic.Strict ->
-      raise (Malformed { line = 0; byte = footer_start; record = -1; reason })
-    | Diagnostic.Lenient -> diag (Diagnostic.make ~fault:Diagnostic.Bad_header reason)
-  end;
-  let pool = read_pool (cur_of_bytes ~pos:ft.ft_pool_offset b) in
-  let emitted = ref 0 in
-  for rank = 0 to nranks - 1 do
-    let seg_end =
-      if rank + 1 < nranks then ft.ft_offsets.(rank + 1) else footer_start
-    in
-    if ft.ft_offsets.(rank) > seg_end || seg_end > total then
-      bin_error cur "rank %d segment bounds are inconsistent (format.md §3.5)"
-        rank;
-    let cur =
-      cur_of_bytes ~base:0 ~pos:ft.ft_offsets.(rank) ~len:seg_end b
-    in
-    emitted :=
-      !emitted
-      + decode_segment ~mode ~pool ~rank ~expected:(Some ft.ft_counts.(rank))
-          ~diag ~emit cur
-  done;
-  (nranks, !emitted, List.rev !diags)
-
 (* Lenient fallback when the footer is damaged: every structure before
    the footer is self-delimiting (varint counts and length prefixes), so
    the body decodes sequentially — header, pool, then up to nranks
@@ -1134,45 +1056,23 @@ let decode_binary_salvage s ~emit =
      diag (Diagnostic.make ~fault:Diagnostic.Bad_header reason));
   (!nranks, !emitted, List.rev !diags)
 
-let decode_binary_from ~mode s ~emit =
-  match mode with
-  | Diagnostic.Strict -> decode_binary_with_footer ~mode s ~emit
-  | Diagnostic.Lenient -> (
-    (* Prefer the indexed path (it validates the CRC and recovers
-       per-segment); fall back to sequential salvage the moment the
-       header/footer skeleton itself is unreadable. *)
-    match decode_binary_with_footer ~mode s ~emit with
-    | r -> r
-    | exception Malformed { reason; _ } ->
-      let nranks, emitted, diags = decode_binary_salvage s ~emit in
-      let d =
-        Diagnostic.make ~fault:Diagnostic.Bad_header
-          ("footer index unusable, salvaged sequentially: " ^ reason)
-      in
-      (nranks, emitted, d :: diags))
-
-(* Streaming per-segment file decode: the footer is read from the end of
-   the file, then the pool and each rank segment are read as separate
-   blocks — peak memory is the pool plus the largest single segment, and
-   the body CRC is folded over the blocks as they stream through. *)
-let fold_binary_file ~mode ic ~emit =
-  let total = in_channel_length ic in
-  let block pos len =
-    seek_in ic pos;
-    let b = Bytes.create len in
-    really_input ic b 0 len;
-    b
-  in
+(* The indexed decode: the footer is read from the end of the input,
+   then the pool and each rank segment are read as separate blocks —
+   peak memory is the pool plus the largest single segment, and the body
+   CRC is folded over the blocks as they pass and checked after the
+   records (§3.5). *)
+let decode_indexed ~mode input ~emit =
+  let total = input.len in
   let head_len = min total 64 in
-  let head = block 0 head_len in
-  let hcur = cur_of_bytes ~len:head_len head in
+  let head = block input 0 head_len in
+  let hcur = cur_of_bytes head in
   let _flags, nranks = read_bin_header hcur in
   let header_end = hcur.bc_pos in
-  let tail = block (max 0 (total - 16)) (min 16 total) in
+  let tail = block input (max 0 (total - 16)) (min 16 total) in
   let footer_start =
     read_footer_locator ~total (cur_of_bytes ~base:(total - 16) tail)
   in
-  let fbytes = block footer_start (total - footer_start) in
+  let fbytes = block input footer_start (total - footer_start) in
   let ft =
     read_footer ~nranks ~total (cur_of_bytes ~base:footer_start fbytes)
   in
@@ -1189,7 +1089,9 @@ let fold_binary_file ~mode ic ~emit =
   let seg_start rank =
     if rank < nranks then ft.ft_offsets.(rank) else footer_start
   in
-  let pool_bytes = block ft.ft_pool_offset (seg_start 0 - ft.ft_pool_offset) in
+  let pool_bytes =
+    block input ft.ft_pool_offset (seg_start 0 - ft.ft_pool_offset)
+  in
   crc_over pool_bytes (Bytes.length pool_bytes);
   let pool = read_pool (cur_of_bytes ~base:ft.ft_pool_offset pool_bytes) in
   let emitted = ref 0 in
@@ -1198,7 +1100,7 @@ let fold_binary_file ~mode ic ~emit =
     if lo > hi || hi > total then
       bin_error hcur "rank %d segment bounds are inconsistent (format.md §3.5)"
         rank;
-    let seg = block lo (hi - lo) in
+    let seg = block input lo (hi - lo) in
     crc_over seg (hi - lo);
     let cur = cur_of_bytes ~base:lo seg in
     emitted :=
@@ -1219,9 +1121,24 @@ let fold_binary_file ~mode ic ~emit =
   end;
   (nranks, !emitted, List.rev !diags)
 
+let decode_binary ~mode input ~emit =
+  match decode_indexed ~mode input ~emit with
+  | r -> r
+  | exception Malformed { reason; _ } when mode = Diagnostic.Lenient ->
+    (* The header/footer skeleton is unreadable; nothing was emitted yet
+       (segment decode is non-raising in lenient mode), so the
+       sequential salvage pass starts clean. *)
+    let s = Bytes.unsafe_to_string (block input 0 input.len) in
+    let nranks, emitted, diags = decode_binary_salvage s ~emit in
+    let d =
+      Diagnostic.make ~fault:Diagnostic.Bad_header
+        ("footer index unusable, salvaged sequentially: " ^ reason)
+    in
+    (nranks, emitted, d :: diags)
+
 (* ---------------------------------------------------------------- *)
-(* Format-transparent entry points: every reader sniffs the magic     *)
-(* (§1.1) and routes to the text or binary decoder.                   *)
+(* Format-transparent entry points: both sniff the magic (§1.1) of    *)
+(* one input and route to the text or binary decoder.                 *)
 (* ---------------------------------------------------------------- *)
 
 let encode_format fmt ~nranks records =
@@ -1229,71 +1146,36 @@ let encode_format fmt ~nranks records =
   | Text -> encode ~nranks records
   | Binary -> encode_binary ~nranks records
 
-let decode_binary_ext ?(mode = Diagnostic.Strict) s =
-  let acc = ref [] in
-  let nranks, _, diagnostics =
-    decode_binary_from ~mode s ~emit:(fun r -> acc := r :: !acc)
+let fold ?(mode = Diagnostic.Strict) input ~init ~f =
+  let acc = ref init in
+  let emit r = acc := f !acc r in
+  let head = Bytes.unsafe_to_string (block input 0 (min 8 input.len)) in
+  let nranks, count, diagnostics =
+    match detect head with
+    | Text -> decode_from ~mode (reader (lines input)) ~emit
+    | Binary -> decode_binary ~mode input ~emit
   in
-  { nranks; records = List.rev !acc; diagnostics }
-
-let decode_ext ?mode s =
-  match detect s with
-  | Text -> decode_text_ext ?mode s
-  | Binary -> decode_binary_ext ?mode s
-
-let decode s =
-  let d = decode_ext ~mode:Diagnostic.Strict s in
-  (d.nranks, d.records)
-
-let fold_records ?mode ?chunk path ~init ~f =
-  (* The streaming entry reads in blocks, so only the control-flow
-     policies (fail/delay) apply here; data corruption is injected on
-     the whole-buffer [read_file] path. *)
-  Vio_util.Failpoint.hit "codec.read";
-  match detect_file path with
-  | Text -> fold_text_records ?mode ?chunk path ~init ~f
-  | Binary ->
-    (* [chunk] tunes the text line source; the binary path reads whole
-       segments and ignores it. *)
-    let mode = match mode with Some m -> m | None -> Diagnostic.Strict in
-    let acc = ref init in
-    let emit r = acc := f !acc r in
-    let ic = open_in_bin path in
-    let nranks, count, diagnostics =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          match fold_binary_file ~mode ic ~emit with
-          | r -> r
-          | exception Malformed { reason; _ }
-            when mode = Diagnostic.Lenient ->
-            (* The header/footer skeleton is unreadable; nothing was
-               emitted yet (segment decode is non-raising in lenient
-               mode), so the sequential salvage pass starts clean. *)
-            seek_in ic 0;
-            let s = really_input_string ic (in_channel_length ic) in
-            let nranks, emitted, diags = decode_binary_salvage s ~emit in
-            let d =
-              Diagnostic.make ~fault:Diagnostic.Bad_header
-                ("footer index unusable, salvaged sequentially: " ^ reason)
-            in
-            (nranks, emitted, d :: diags))
-    in
-    {
-      f_nranks = nranks;
-      f_value = !acc;
-      f_records = count;
-      f_diagnostics = diagnostics;
-    }
-
-let of_file_ext ?mode path =
-  let folded = fold_records ?mode path ~init:[] ~f:(fun acc r -> r :: acc) in
   {
-    nranks = folded.f_nranks;
-    records = List.rev folded.f_value;
-    diagnostics = folded.f_diagnostics;
+    f_nranks = nranks;
+    f_value = !acc;
+    f_records = count;
+    f_diagnostics = diagnostics;
   }
 
-let of_file path =
-  let d = of_file_ext ~mode:Diagnostic.Strict path in
-  (d.nranks, d.records)
+let decode_ext ?mode s =
+  let r = fold ?mode (input_of_string s) ~init:[] ~f:(fun acc r -> r :: acc) in
+  {
+    nranks = r.f_nranks;
+    records = List.rev r.f_value;
+    diagnostics = r.f_diagnostics;
+  }
+
+let fold_records ?mode path ~init ~f =
+  (* The file is read in blocks, so only the control-flow policies
+     (fail/delay) of codec.read apply here; data corruption is injected
+     on the whole-buffer [read_file] path. *)
+  Vio_util.Failpoint.hit "codec.read";
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> fold ?mode (input_of_channel ic) ~init ~f)

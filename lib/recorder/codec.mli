@@ -1,7 +1,6 @@
 (** Trace (de)serialization.
 
-    Two wire formats share one reading API; every decoder sniffs the
-    leading magic bytes and routes accordingly (docs/format.md §1.1):
+    Two wire formats share one reading API (docs/format.md §1.1):
 
     - {b text v1}: a compact dictionary-compressed line format — every
       distinct (layer, function) pair is written once in a header table
@@ -16,6 +15,12 @@
 
     Both formats are self-describing and versioned; decoding a trace
     written by a different major version fails loudly.
+
+    There are two ways in, {!decode_ext} for bytes in memory and
+    {!fold_records} for a file. They differ only in where the bytes come
+    from: both sniff the leading magic and run the same decoder for each
+    format, so a trace, damaged or not, gets the same records,
+    diagnostics and errors from either.
 
     Decoding has two modes. {!Diagnostic.Strict} (the default) raises
     {!Malformed} on the first unreadable byte — all-or-nothing, for traces
@@ -38,10 +43,6 @@ val binary_version : int
 (** The binary format version this library reads and writes; stored in
     the byte after {!magic_v2} (docs/format.md §1.2). *)
 
-val trailer_magic : string
-(** Final 8 bytes of every binary trace; validated before trusting the
-    footer locator (docs/format.md §3.5). *)
-
 type format = Text | Binary
 
 val format_name : format -> string
@@ -51,10 +52,6 @@ val detect : string -> format
 (** Classify encoded bytes by leading magic. Anything that does not open
     with {!magic_v2} is treated as text (whose own magic check then
     produces a precise error for garbage input). *)
-
-val detect_file : string -> format
-(** {!detect} on the first 8 bytes of a file.
-    @raise Sys_error if the file cannot be opened. *)
 
 exception
   Malformed of { line : int; byte : int; record : int; reason : string }
@@ -79,11 +76,6 @@ val encode_binary : nranks:int -> Record.t list -> string
 val encode_format : format -> nranks:int -> Record.t list -> string
 (** {!encode} or {!encode_binary} by [format]. *)
 
-val decode : string -> int * Record.t list
-(** [decode s] returns [(nranks, records)] with records sorted by
-    (rank, seq). Auto-detects the format (§1.1). Strict:
-    @raise Malformed on malformed or version-mismatched input. *)
-
 type decoded = {
   nranks : int;
       (** from the header; in lenient mode inferred from the records when
@@ -95,21 +87,12 @@ type decoded = {
 }
 
 val decode_ext : ?mode:Diagnostic.mode -> string -> decoded
-(** Mode-aware decode; auto-detects the format. With [~mode:Lenient]
-    this never raises; with [~mode:Strict] (default) it behaves like
-    {!decode}. On a well-formed trace both modes return identical
-    records and no diagnostics, whichever format carried them. *)
-
-val encode_trace : Trace.t -> string
-
-val to_file : string -> Trace.t -> unit
-
-val of_file : string -> int * Record.t list
-
-val of_file_ext : ?mode:Diagnostic.mode -> string -> decoded
-(** Like {!decode_ext}, but streaming: a thin wrapper over
-    {!fold_records} that collects the records into a list. The file is
-    read in fixed-size chunks and is never resident as one string. *)
+(** [decode_ext s] decodes the encoded trace [s], either format
+    (auto-detected), into a list. With [~mode:Lenient] this never
+    raises; with [~mode:Strict] (default) it raises {!Malformed} on
+    malformed or version-mismatched input and never returns partial
+    data. On a well-formed trace both modes return identical records and
+    no diagnostics, whichever format carried them. *)
 
 type 'a folded = {
   f_nranks : int;  (** as {!decoded.nranks} *)
@@ -120,24 +103,25 @@ type 'a folded = {
 
 val fold_records :
   ?mode:Diagnostic.mode ->
-  ?chunk:int ->
   string ->
   init:'a ->
   f:('a -> Record.t -> 'a) ->
   'a folded
 (** [fold_records path ~init ~f] decodes the trace file at [path]
-    incrementally, calling [f] on each salvaged record in trace order.
-    The format is auto-detected from the file's first bytes. Text input
-    is pulled through a chunked line reader ([chunk] bytes at a time,
-    default 64 KiB), so memory stays bounded by the widest line plus
-    whatever the fold accumulates — this is how the columnar event store
-    ingests traces without materializing a [Record.t] list. Binary input
-    is read footer-first, then segment by segment ([chunk] is ignored):
-    peak memory is the string pool plus the largest single rank segment,
-    and the body CRC is folded over the blocks as they stream through
-    (docs/format.md §4). Strict mode raises {!Malformed} (with byte
-    offset, and record number on text input) exactly as {!decode} does;
-    records emitted before the failure have already been folded. *)
+    incrementally, calling [f] on each salvaged record in trace order,
+    with the decoders {!decode_ext} runs. The file is never resident as
+    one string: text input is split into lines 64 KiB at a time, so
+    memory stays bounded by the widest line plus whatever the fold
+    accumulates — this is how the columnar event store ingests traces
+    without materializing a [Record.t] list. Binary input is read
+    footer-first, then the pool and one rank segment at a time: peak
+    memory is the pool plus the largest single segment, and the body CRC
+    is folded over the segments as they pass and checked after the
+    records (docs/format.md §4). Strict mode raises {!Malformed} (with
+    byte offset, and record number on text input) as {!decode_ext} does;
+    records emitted before the failure have already been folded. Hits
+    the [codec.read] failpoint before opening the file.
+    @raise Sys_error if the file cannot be opened. *)
 
 val read_file : string -> string
 (** Raw file contents (exposed so callers can inject faults into an

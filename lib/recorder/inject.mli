@@ -1,7 +1,7 @@
 (** Seeded, deterministic trace fault injection.
 
     Operates on the {e encoded} trace text (the exact byte stream
-    {!Codec.decode} consumes), so every fault models something that can
+    {!Codec.decode_ext} consumes), so every fault models something that can
     really happen to a trace on disk: a lost record line, a stream cut
     mid-write, a scribbled field, a doubled flush, an epilogue that never
     fired, a clobbered string-table entry.

@@ -103,9 +103,9 @@ let codec_path ~mode path () =
    ones, so their jobs carry records decoded before any fault is armed. *)
 let batch_jobs ~bin ~txt =
   let job i path =
-    let nranks, records = Recorder.Codec.of_file path in
-    Verifyio.Batch.job ~models:[ m0 ] ~name:(Printf.sprintf "tj%d" i) ~nranks
-      records
+    let dec = Recorder.Codec.decode_ext (Recorder.Codec.read_file path) in
+    Verifyio.Batch.job ~models:[ m0 ] ~name:(Printf.sprintf "tj%d" i)
+      ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records
   in
   [ job 0 bin; job 1 txt; job 2 bin ]
 

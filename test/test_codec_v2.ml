@@ -3,7 +3,9 @@
    empty rank segments, and the cross-format round-trip property
    (text -> binary -> estore equals text -> estore). Every failure
    assertion checks that the decoder's message cites the spec section
-   that defines the violated rule. *)
+   that defines the violated rule, and every case decodes both from
+   bytes ([decode_ext]) and from a file ([fold_records]), which must
+   give one answer. *)
 
 module R = Recorder.Record
 module Codec = Recorder.Codec
@@ -55,14 +57,63 @@ let check_cites what section reason =
     true
     (contains reason ("format.md " ^ section))
 
+let with_temp_file contents f =
+  let path = Filename.temp_file "codec_v2" ".trace" in
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let answer f =
+  match f () with
+  | (d : Codec.decoded) -> Ok d
+  | exception (Codec.Malformed _ as e) -> Error e
+
+let show = function
+  | Ok (d : Codec.decoded) ->
+    Printf.sprintf "%d rank(s), %d record(s), diagnostics [%s]" d.Codec.nranks
+      (List.length d.Codec.records)
+      (String.concat "; " (List.map Diag.to_string d.Codec.diagnostics))
+  | Error e -> Printexc.to_string e
+
+(* Decode [s] from bytes and from a file holding them; both must give the
+   same records, diagnostics or [Malformed], which is returned. *)
+let decode ?(mode = Diag.Strict) s =
+  let from_bytes = answer (fun () -> Codec.decode_ext ~mode s) in
+  let from_file =
+    answer (fun () ->
+        with_temp_file s (fun path ->
+            let f =
+              Codec.fold_records ~mode path ~init:[] ~f:(fun acc r -> r :: acc)
+            in
+            {
+              Codec.nranks = f.Codec.f_nranks;
+              records = List.rev f.Codec.f_value;
+              diagnostics = f.Codec.f_diagnostics;
+            }))
+  in
+  Alcotest.(check string) "file answer = bytes answer" (show from_bytes)
+    (show from_file);
+  check_bool "file records = bytes records" true (from_bytes = from_file);
+  from_bytes
+
+let decoded = function
+  | Ok d -> d
+  | Error e -> Alcotest.fail ("unexpected " ^ Printexc.to_string e)
+
+let failure what = function
+  | Ok _ -> Alcotest.fail (what ^ " accepted")
+  | Error e -> reason_of e
+
 (* ------------------------------------------------------------------ *)
 (* Round trip and structure                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_round_trip () =
-  let nranks, decoded = Codec.decode (encoded ()) in
-  check_int "nranks" 3 nranks;
-  check_bool "records identical" true (decoded = sample)
+  let d = decoded (decode (encoded ())) in
+  check_int "nranks" 3 d.Codec.nranks;
+  check_bool "records identical" true (d.Codec.records = sample)
 
 let test_detects_formats () =
   check_bool "binary detected" true (Codec.detect (encoded ()) = Codec.Binary);
@@ -72,14 +123,22 @@ let test_detects_formats () =
 let test_empty_rank_segment () =
   (* Rank 1 contributes nothing; the segment must survive the round trip
      and the decoder must not attribute records to it. *)
-  let nranks, decoded = Codec.decode (encoded ()) in
-  check_int "nranks preserved" 3 nranks;
+  let d = decoded (decode (encoded ())) in
+  check_int "nranks preserved" 3 d.Codec.nranks;
   check_int "rank 1 has no records" 0
-    (List.length (List.filter (fun (r : R.t) -> r.R.rank = 1) decoded));
+    (List.length (List.filter (fun (r : R.t) -> r.R.rank = 1) d.Codec.records));
   (* A trace that is nothing but empty segments is also valid. *)
-  let nranks, decoded = Codec.decode (Codec.encode_binary ~nranks:4 []) in
-  check_int "all-empty nranks" 4 nranks;
-  check_int "all-empty records" 0 (List.length decoded)
+  let d = decoded (decode (Codec.encode_binary ~nranks:4 [])) in
+  check_int "all-empty nranks" 4 d.Codec.nranks;
+  check_int "all-empty records" 0 (List.length d.Codec.records)
+
+let test_fold_binary_file () =
+  with_temp_file (encoded ()) (fun path ->
+      let folded = Codec.fold_records path ~init:[] ~f:(fun acc r -> r :: acc) in
+      check_int "folded nranks" 3 folded.Codec.f_nranks;
+      check_int "folded count" 5 folded.Codec.f_records;
+      check_bool "folded in trace order" true
+        (List.rev folded.Codec.f_value = sample))
 
 (* ------------------------------------------------------------------ *)
 (* Corruption: every strict error must cite its spec section            *)
@@ -88,9 +147,8 @@ let test_empty_rank_segment () =
 let test_truncated_footer_strict () =
   let s = encoded () in
   let cut = String.sub s 0 (String.length s - 10) in
-  match Codec.decode cut with
-  | _ -> Alcotest.fail "truncated footer accepted"
-  | exception e -> check_cites "truncated footer" "\xc2\xa73.5" (reason_of e)
+  check_cites "truncated footer" "\xc2\xa73.5"
+    (failure "truncated footer" (decode cut))
 
 let test_truncated_footer_lenient () =
   (* The footer skeleton is gone but header, pool and segments are intact
@@ -98,7 +156,7 @@ let test_truncated_footer_lenient () =
      flagged by a Bad_header diagnostic. *)
   let s = encoded () in
   let cut = String.sub s 0 (String.length s - 10) in
-  let d = Codec.decode_ext ~mode:Diag.Lenient cut in
+  let d = decoded (decode ~mode:Diag.Lenient cut) in
   check_int "all records salvaged" (List.length sample)
     (List.length d.Codec.records);
   check_bool "records intact" true (d.Codec.records = sample);
@@ -113,12 +171,9 @@ let test_corrupt_crc_strict () =
   let s = Bytes.of_string (encoded ()) in
   let pos = Bytes.length s - 20 in
   Bytes.set s pos (Char.chr (Char.code (Bytes.get s pos) lxor 0x01));
-  match Codec.decode (Bytes.to_string s) with
-  | _ -> Alcotest.fail "corrupt CRC accepted"
-  | exception e ->
-    let reason = reason_of e in
-    check_bool ("mentions CRC: " ^ reason) true (contains reason "CRC-32");
-    check_cites "corrupt CRC" "\xc2\xa73.5" reason
+  let reason = failure "corrupt CRC" (decode (Bytes.to_string s)) in
+  check_bool ("mentions CRC: " ^ reason) true (contains reason "CRC-32");
+  check_cites "corrupt CRC" "\xc2\xa73.5" reason
 
 let test_corrupt_crc_lenient () =
   (* Lenient keeps the (structurally valid) records and reports the
@@ -126,7 +181,7 @@ let test_corrupt_crc_lenient () =
   let s = Bytes.of_string (encoded ()) in
   let pos = Bytes.length s - 20 in
   Bytes.set s pos (Char.chr (Char.code (Bytes.get s pos) lxor 0x01));
-  let d = Codec.decode_ext ~mode:Diag.Lenient (Bytes.to_string s) in
+  let d = decoded (decode ~mode:Diag.Lenient (Bytes.to_string s)) in
   check_bool "records kept" true (d.Codec.records = sample);
   check_bool "mismatch reported" true
     (List.exists
@@ -136,19 +191,16 @@ let test_corrupt_crc_lenient () =
 let test_unknown_version_strict () =
   let s = Bytes.of_string (encoded ()) in
   Bytes.set s 8 '\x07' (* version byte follows the 8-byte magic *);
-  match Codec.decode (Bytes.to_string s) with
-  | _ -> Alcotest.fail "unknown version accepted"
-  | exception e ->
-    let reason = reason_of e in
-    check_bool ("names version 7: " ^ reason) true (contains reason "7");
-    check_cites "unknown version" "\xc2\xa71.2" reason
+  let reason = failure "unknown version" (decode (Bytes.to_string s)) in
+  check_bool ("names version 7: " ^ reason) true (contains reason "7");
+  check_cites "unknown version" "\xc2\xa71.2" reason
 
 let test_unknown_version_lenient () =
   (* No decoder for the version exists, so even lenient mode can salvage
      nothing — but it must report the failure rather than raise. *)
   let s = Bytes.of_string (encoded ()) in
   Bytes.set s 8 '\x07';
-  let d = Codec.decode_ext ~mode:Diag.Lenient (Bytes.to_string s) in
+  let d = decoded (decode ~mode:Diag.Lenient (Bytes.to_string s)) in
   check_int "nothing salvaged" 0 (List.length d.Codec.records);
   check_bool "failure reported" true
     (Diag.count_class Diag.Bad_header d.Codec.diagnostics >= 1)
@@ -158,31 +210,72 @@ let test_truncated_mid_segment_strict () =
      must refuse with a positioned error, never return partial data. *)
   let s = encoded () in
   let cut = String.sub s 0 (String.length s * 2 / 3) in
-  match Codec.decode cut with
-  | _ -> Alcotest.fail "truncated body accepted"
-  | exception Codec.Malformed _ -> ()
-  | exception e -> raise e
+  ignore (failure "truncated body" (decode cut))
 
-(* ------------------------------------------------------------------ *)
-(* File path: auto-detection and the streaming fold                    *)
-(* ------------------------------------------------------------------ *)
+(* A uvarint with bit 62 set reads as a negative int; as a count or a
+   length it must be rejected, not crash the decoder or what it feeds. *)
+let negative = "\x80\x80\x80\x80\x80\x80\x80\x80\x40"
 
-let with_temp_file contents f =
-  let path = Filename.temp_file "codec_v2" ".trace" in
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc;
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
+let test_negative_counts () =
+  (* The first pool entry's length, written over its length byte at 12
+     and the next 8 (the 9-byte magic and version, the one-byte flags
+     and nranks and the pool's one-byte count come first): an overrun
+     (format.md §3.2). *)
+  let s = Bytes.of_string (encoded ()) in
+  Bytes.blit_string negative 0 s 12 9;
+  let s = Bytes.to_string s in
+  check_cites "negative pool length" "\xc2\xa73.2"
+    (failure "negative pool length" (decode s));
+  let d = decoded (decode ~mode:Diag.Lenient s) in
+  check_int "nothing salvaged" 0 (List.length d.Codec.records);
+  check_bool "overrun reported" true
+    (List.exists
+       (fun (dg : Diag.t) -> contains dg.Diag.reason "pool entry overruns")
+       d.Codec.diagnostics);
+  (* nranks, the header's byte 10, widened to the 9-byte varint
+     (format.md §3.1); lenient salvage must not report a negative rank
+     count either. *)
+  let e = encoded () in
+  let s = String.sub e 0 10 ^ negative ^ String.sub e 11 (String.length e - 11) in
+  check_cites "negative rank count" "\xc2\xa73.1"
+    (failure "negative rank count" (decode s));
+  let d = decoded (decode ~mode:Diag.Lenient s) in
+  check_int "no ranks" 0 d.Codec.nranks
 
-let test_fold_binary_file () =
-  with_temp_file (encoded ()) (fun path ->
-      check_bool "file detected as binary" true
-        (Codec.detect_file path = Codec.Binary);
-      let folded = Codec.fold_records path ~init:[] ~f:(fun acc r -> r :: acc) in
-      check_int "folded nranks" 3 folded.Codec.f_nranks;
-      check_bool "folded records identical" true
-        (List.rev folded.Codec.f_value = sample))
+(* Overwrite 12 bytes inside rank 0's segment with 0xff: the segment no
+   longer decodes, and the body CRC no longer matches. The records are
+   decoded before the CRC is checked (format.md §3.5), so strict mode
+   reports the segment's error and lenient mode lists the CRC mismatch
+   after the abandoned segment. *)
+let damaged_segment () =
+  let s = Bytes.of_string (encoded ()) in
+  let u64 pos = Int64.to_int (Bytes.get_int64_le s pos) in
+  let footer = u64 (Bytes.length s - 16) in
+  (* rank 0's offset opens the footer; skip its count and first seq *)
+  let seg0 = u64 footer in
+  Bytes.fill s (seg0 + 2) 12 '\xff';
+  Bytes.to_string s
+
+let test_damaged_segment_strict () =
+  let reason = failure "damaged segment" (decode (damaged_segment ())) in
+  check_bool ("segment error, not CRC: " ^ reason) true
+    (contains reason "varint longer than 10 bytes");
+  check_cites "damaged segment" "\xc2\xa72.1" reason
+
+let test_damaged_segment_lenient () =
+  let d = decoded (decode ~mode:Diag.Lenient (damaged_segment ())) in
+  check_bool "ranks 1 and 2 kept" true
+    (d.Codec.records = List.filter (fun (r : R.t) -> r.R.rank <> 0) sample);
+  let index p =
+    let rec go i = function
+      | [] -> Alcotest.fail "diagnostic missing"
+      | (dg : Diag.t) :: tl -> if p dg then i else go (i + 1) tl
+    in
+    go 0 d.Codec.diagnostics
+  in
+  let segment = index (fun dg -> dg.Diag.fault = Diag.Truncated_trace) in
+  let crc = index (fun dg -> contains dg.Diag.reason "CRC-32") in
+  check_bool "CRC mismatch listed after the segment" true (segment < crc)
 
 (* ------------------------------------------------------------------ *)
 (* Property: text -> binary -> estore equals text -> estore             *)
@@ -262,6 +355,12 @@ let () =
             test_unknown_version_lenient;
           Alcotest.test_case "truncated mid-segment (strict)" `Quick
             test_truncated_mid_segment_strict;
+          Alcotest.test_case "counts read as negative" `Quick
+            test_negative_counts;
+          Alcotest.test_case "damaged segment and CRC (strict)" `Quick
+            test_damaged_segment_strict;
+          Alcotest.test_case "damaged segment and CRC (lenient)" `Quick
+            test_damaged_segment_lenient;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_cross_format_estore ] );

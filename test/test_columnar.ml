@@ -177,7 +177,8 @@ let trace_lines name =
   let lenient = contains_sub name "truncate" in
   let mode = if lenient then D.Lenient else D.Strict in
   let d =
-    Recorder.Codec.of_file_ext ~mode (Filename.concat "fuzz_corpus" name)
+    Recorder.Codec.decode_ext ~mode
+      (Recorder.Codec.read_file (Filename.concat "fuzz_corpus" name))
   in
   subject_lines ~lenient ~nranks:d.Recorder.Codec.nranks
     ~upstream:d.Recorder.Codec.diagnostics d.Recorder.Codec.records

@@ -111,7 +111,10 @@ let test_corpus_replays_clean () =
   check_bool "corpus is non-empty" true (List.length traces >= 5);
   List.iter
     (fun f ->
-      let nranks, records = Recorder.Codec.of_file (Filename.concat dir f) in
+      let { Recorder.Codec.nranks; records; _ } =
+        Recorder.Codec.decode_ext
+          (Recorder.Codec.read_file (Filename.concat dir f))
+      in
       let divs =
         D.check ~oracle:(V.Oracle.verify ~nranks records) ~nranks records
       in
@@ -122,7 +125,10 @@ let test_corpus_replays_clean () =
    Verify.run (rules 2/4 once used one boundary op for both access kinds);
    pin its oracle verdict so the regression stays visible. *)
 let test_seed41_regression () =
-  let nranks, records = Recorder.Codec.of_file "fuzz_corpus/seed41.vio-trace" in
+  let { Recorder.Codec.nranks; records; _ } =
+    Recorder.Codec.decode_ext
+      (Recorder.Codec.read_file "fuzz_corpus/seed41.vio-trace")
+  in
   let by_model =
     V.Oracle.verify ~nranks records
     |> List.map (fun ((m : V.Model.t), (v : V.Oracle.verdict)) ->
@@ -140,7 +146,9 @@ let test_seed41_regression () =
    clean under the implied one. Pinned so the regression stays visible. *)
 let test_model_witnesses () =
   let pin file strong weak =
-    let nranks, records = Recorder.Codec.of_file ("fuzz_corpus/" ^ file) in
+    let { Recorder.Codec.nranks; records; _ } =
+      Recorder.Codec.decode_ext (Recorder.Codec.read_file ("fuzz_corpus/" ^ file))
+    in
     let races name =
       match V.Model.by_name name with
       | Some m ->

@@ -94,10 +94,10 @@ let test_injection_deterministic () =
 
 let test_lenient_equals_strict_on_pristine () =
   let _, encoded = sample_trace () in
-  let nranks, strict = Codec.decode encoded in
+  let strict = Codec.decode_ext encoded in
   let lenient = Codec.decode_ext ~mode:D.Lenient encoded in
-  check_int "same nranks" nranks lenient.Codec.nranks;
-  check_bool "same records" true (strict = lenient.Codec.records);
+  check_int "same nranks" strict.Codec.nranks lenient.Codec.nranks;
+  check_bool "same records" true (strict.Codec.records = lenient.Codec.records);
   check_int "no diagnostics" 0 (List.length lenient.Codec.diagnostics)
 
 (* Every injected fault must be independently detectable: lenient decode +
@@ -165,7 +165,7 @@ let test_truncation_every_boundary_exhaustive () =
   ignore
     (T.intercept t ~rank:0 ~layer:R.Posix ~func:"pwrite"
        ~args:[| "3"; "8"; "0" |] ~ret:string_of_int (fun () -> 8));
-  let encoded = Codec.encode_trace t in
+  let encoded = Codec.encode ~nranks:1 (T.records t) in
   for cut = 0 to String.length encoded - 1 do
     let dec = Codec.decode_ext ~mode:D.Lenient (String.sub encoded 0 cut) in
     check_bool "records bounded" true (List.length dec.Codec.records <= 2)
@@ -173,8 +173,9 @@ let test_truncation_every_boundary_exhaustive () =
 
 (* A cut inside the last record line's last token can leave a shorter
    line that still parses: "... 1 15" cut to "... 1 1" names dictionary
-   entry 1 where the record named entry 15. Lenient decode must drop the
-   unterminated line and report it lost, not return a different record. *)
+   entry 1 where the record named entry 15. Strict decode must refuse the
+   unterminated line (docs/format.md §5.5); lenient decode must drop it
+   and report it lost, not return a different record. *)
 let test_cut_last_token () =
   let mk seq func call_path =
     {
@@ -197,6 +198,12 @@ let test_cut_last_token () =
   check_bool "last line ends in entry 15" true
     (String.ends_with ~suffix:" 1 15\n" encoded);
   let cut = String.sub encoded 0 (String.length encoded - 2) in
+  (match Codec.decode_ext cut with
+  | _ -> Alcotest.fail "strict decode accepted a cut last line"
+  | exception Codec.Malformed { reason; record; _ } ->
+    check_bool ("cites format.md \xc2\xa75.5: " ^ reason) true
+      (String.ends_with ~suffix:"(format.md \xc2\xa75.5)" reason);
+    check_int "names the last record" 17 record);
   let dec = Codec.decode_ext ~mode:D.Lenient cut in
   check_int "cut record dropped" 16 (List.length dec.Codec.records);
   check_bool "no record names entry 1 instead" true

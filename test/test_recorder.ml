@@ -180,15 +180,14 @@ let build_sample_trace () =
 
 let test_codec_round_trip () =
   let t = build_sample_trace () in
-  let encoded = Codec.encode_trace t in
-  let nranks, records = Codec.decode encoded in
-  check_int "nranks" 2 nranks;
   let original = T.records t in
-  check_int "record count" (List.length original) (List.length records);
+  let d = Codec.decode_ext (Codec.encode ~nranks:(T.nranks t) original) in
+  check_int "nranks" 2 d.Codec.nranks;
+  check_int "record count" (List.length original) (List.length d.Codec.records);
   List.iter2
     (fun (a : R.t) (b : R.t) ->
       check_bool "records equal" true (a = b))
-    original records
+    original d.Codec.records
 
 let test_codec_file_round_trip () =
   let t = build_sample_trace () in
@@ -196,15 +195,16 @@ let test_codec_file_round_trip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Codec.to_file path t;
-      let nranks, records = Codec.of_file path in
-      check_int "nranks" 2 nranks;
-      check_int "records" (T.record_count t) (List.length records))
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Codec.encode ~nranks:(T.nranks t) (T.records t)));
+      let folded = Codec.fold_records path ~init:[] ~f:(fun acc r -> r :: acc) in
+      check_int "nranks" 2 folded.Codec.f_nranks;
+      check_bool "records" true (List.rev folded.Codec.f_value = T.records t))
 
 let test_codec_rejects_garbage () =
   List.iter
     (fun bad ->
-      match Codec.decode bad with
+      match Codec.decode_ext bad with
       | exception Codec.Malformed _ -> ()
       | _ -> Alcotest.fail "expected decode failure")
     [ ""; "NOT-A-TRACE"; "VERIFYIO-TRACE 1\nnranks x"; "VERIFYIO-TRACE 2\nnranks 1" ]
@@ -217,7 +217,7 @@ let test_codec_dictionary_compresses () =
       (T.intercept t ~rank:0 ~layer:R.Posix ~func:"pwrite"
          ~args:[| "3"; "<buf>"; "8"; "0" |] ~ret:string_of_int (fun () -> 8))
   done;
-  let s = Codec.encode_trace t in
+  let s = Codec.encode ~nranks:1 (T.records t) in
   (* The function name must appear exactly once (in the dictionary). *)
   let count_occurrences hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -274,8 +274,8 @@ let prop_codec_round_trip =
           records
       in
       let encoded = Codec.encode ~nranks:4 dedup in
-      let nranks, decoded = Codec.decode encoded in
-      nranks = 4 && decoded = dedup)
+      let d = Codec.decode_ext encoded in
+      d.Codec.nranks = 4 && d.Codec.records = dedup)
 
 (* ------------------------------------------------------------------ *)
 (* Signatures                                                           *)

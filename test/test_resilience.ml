@@ -94,9 +94,10 @@ let test_mutate_basics () =
      silent early exit, not corruption. *)
   let nranks = p.Viogen.Workload.nranks in
   let reencoded = Recorder.Codec.encode ~nranks cut in
-  let nranks', records' = Recorder.Codec.decode reencoded in
-  check_int "round-trips nranks" nranks nranks';
-  check_int "round-trips records" (List.length cut) (List.length records')
+  let d = Recorder.Codec.decode_ext reencoded in
+  check_int "round-trips nranks" nranks d.Recorder.Codec.nranks;
+  check_int "round-trips records" (List.length cut)
+    (List.length d.Recorder.Codec.records)
 
 (* ---------------------------------------------------------------- *)
 (* Partial graph: cycles drop events, not the whole matching          *)

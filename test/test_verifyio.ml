@@ -9,6 +9,7 @@ module E = Mpisim.Engine
 module M = Mpisim.Mpi
 module F = Posixfs.Fs
 module V = Verifyio
+module R = Recorder.Record
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -353,6 +354,41 @@ let test_split_wait_bug_reported () =
       "the two paths" [ "MPI_File_write_all"; "MPI_File_write_at_all" ] funcs
   | _ -> assert false
 
+(* A receive whose request id is posted again while it is still posted
+   can no longer complete: it must be reported unmatched, not lost. Rank
+   0 posts rid 5 twice and waits once; rank 1 sends twice on the same
+   channel, so one pair matches and the second send is left over. *)
+let test_reposted_request_id_reported () =
+  let mk rank seq func args =
+    {
+      R.rank;
+      seq;
+      tstart = (10 * seq) + rank;
+      tend = (10 * seq) + rank + 1;
+      layer = R.Mpi;
+      func;
+      args = Array.of_list args;
+      ret = "0";
+      call_path = [];
+    }
+  in
+  let records =
+    [
+      mk 0 0 "MPI_Irecv" [ "1"; "7"; "0"; "5" ];
+      mk 0 1 "MPI_Irecv" [ "1"; "7"; "0"; "5" ];
+      mk 0 2 "MPI_Wait" [ "5"; "1"; "7" ];
+      mk 1 0 "MPI_Send" [ "0"; "7"; "0"; "8" ];
+      mk 1 1 "MPI_Send" [ "0"; "7"; "0"; "8" ];
+    ]
+  in
+  let r = V.Match_mpi.run (V.Estore.of_records ~nranks:2 records) in
+  (* op indices follow (rank, seq): r0#0 = 0, r0#2 = 2, r1#0 = 3, r1#1 = 4 *)
+  check_bool "one pair: r1#0 to the wait" true
+    (r.V.Match_mpi.events = [ V.Match_mpi.P2p { send = 3; completion = 2 } ]);
+  check_bool "first Irecv and second send unmatched" true
+    (r.V.Match_mpi.unmatched
+    = [ V.Match_mpi.Unmatched_send 4; V.Match_mpi.Unmatched_recv 0 ])
+
 (* ------------------------------------------------------------------ *)
 (* Offset reconstruction                                                *)
 (* ------------------------------------------------------------------ *)
@@ -603,6 +639,8 @@ let () =
           Alcotest.test_case "collective subset" `Quick
             test_collective_subset_reported;
           Alcotest.test_case "split-wait bug" `Quick test_split_wait_bug_reported;
+          Alcotest.test_case "re-posted request id" `Quick
+            test_reposted_request_id_reported;
         ] );
       ( "offsets",
         [

@@ -194,7 +194,9 @@ let test_trace_file_round_trip_preserves_verdicts () =
       | Some w ->
         let records = H.run w in
         let encoded = Recorder.Codec.encode ~nranks:w.H.nranks records in
-        let nranks', decoded = Recorder.Codec.decode encoded in
+        let { Recorder.Codec.nranks = nranks'; records = decoded; _ } =
+          Recorder.Codec.decode_ext encoded
+        in
         check_int (name ^ ": nranks preserved") w.H.nranks nranks';
         List.iter
           (fun model ->

@@ -1,6 +1,6 @@
 (* doc_check — keep the prose honest.
 
-   Five classes of documentation rot this tool catches:
+   Six classes of documentation rot this tool catches:
 
    1. Dead relative links: a [text](path) markdown link in README.md,
       DESIGN.md or docs/*.md whose target file no longer exists
@@ -23,6 +23,12 @@
       {!M...} that names no module under lib/ and nothing its own file
       declares (modules get deleted; doc comments don't, and with odoc
       absent nothing else resolves them).
+
+   6. Stale API references: a backticked `M.v` or `Lib.M.v` in README.md,
+      DESIGN.md or docs/*.md whose module M has an .mli under lib/ that
+      declares no value, type, exception, module, constructor or record
+      field named v (functions get deleted or made private; prose
+      doesn't).
 
    Run from anywhere with --root pointing at the workspace root. Exits
    non-zero with one line per problem; prints a one-line summary when
@@ -329,6 +335,92 @@ let check_odoc_refs libs =
     libs;
   !checked
 
+(* ---- 6. stale API references -------------------------------------- *)
+
+(* A value, type, exception, module, constructor or record field named
+   [name] in the interface source [src]. Declarations are not scoped to
+   submodules: a name declared anywhere in the file counts. *)
+let declares_item src name =
+  let found re =
+    match Str.search_forward (Str.regexp re) src 0 with
+    | _ -> true
+    | exception Not_found -> false
+  in
+  let capitalized = name.[0] >= 'A' && name.[0] <= 'Z' in
+  if capitalized then declares src name
+  else
+    found ("\\b\\(val\\|external\\)[ \t\n]+" ^ name ^ "\\b")
+    || found
+         ("\\b\\(type\\|and\\)[ \t\n]+\\(\\('[a-z_]+\\|([^)]*)\\)[ \t\n]+\\)?"
+        ^ name ^ "\\b")
+    || found
+         ("\\([{;]\\|^\\)[ \t\n]*\\(mutable[ \t\n]+\\)?" ^ name
+        ^ "[ \t\n]*:")
+
+(* A backticked span, and a dotted path inside it that starts with a
+   capitalized module name. *)
+let span_re = Str.regexp "`\\([^`\n]+\\)`"
+
+let path_re =
+  Str.regexp "[A-Z][A-Za-z0-9_]*\\(\\.[A-Za-z_][A-Za-z0-9_']*\\)+"
+
+(* Every `M.v` or `Lib.M.v` in a backticked span of [content] whose
+   module M has an .mli under lib/ (in library Lib's directory, when Lib
+   names one) that declares nothing named v. Paths through modules
+   without an interface (the standard library, aliases) are not
+   checked. *)
+let check_api_refs libs md content =
+  let wrappers =
+    List.filter_map (fun l -> Option.map (fun w -> (w, l)) l.wrapper) libs
+  in
+  let interfaces libs m =
+    List.filter_map
+      (fun l ->
+        let mli =
+          Filename.concat l.dir (String.uncapitalize_ascii m ^ ".mli")
+        in
+        if Sys.file_exists mli then Some mli else None)
+      libs
+  in
+  let checked = ref 0 in
+  let check start path =
+    let target =
+      match String.split_on_char '.' path with
+      | lib :: m :: v :: _ when List.mem_assoc lib wrappers ->
+        Some (interfaces [ List.assoc lib wrappers ] m, m, v)
+      | lib :: _ when List.mem_assoc lib wrappers -> None
+      | m :: v :: _ -> Some (interfaces libs m, m, v)
+      | _ -> None
+    in
+    match target with
+    | None | Some ([], _, _) -> ()
+    | Some (mlis, m, v) ->
+      incr checked;
+      if not (List.exists (fun mli -> declares_item (read_file mli) v) mlis)
+      then
+        fail "%s:%d: stale API reference `%s` — %s declares no %s.%s" md
+          (line_at content start) path (String.concat " or " mlis) m v
+  in
+  let rec spans from =
+    match Str.search_forward span_re content from with
+    | exception Not_found -> ()
+    | start ->
+      let span = Str.matched_group 1 content and next = Str.match_end () in
+      let rec paths from =
+        match Str.search_forward path_re span from with
+        | exception Not_found -> ()
+        | p ->
+          let path = Str.matched_string span and after = Str.match_end () in
+          if p = 0 || not (String.contains "._" span.[p - 1]) then
+            check start path;
+          paths after
+      in
+      paths 0;
+      spans next
+  in
+  spans 0;
+  !checked
+
 (* ---- driver ------------------------------------------------------- *)
 
 let () =
@@ -354,23 +446,27 @@ let () =
     fail "no known_sites registry found in %s" registry;
   let mds = markdown_files !root in
   if mds = [] then fail "no markdown files found under %s" !root;
+  let libs = libraries !root in
   let links = ref 0 and mentions = ref 0 and uses = ref 0 and specs = ref 0 in
+  let apis = ref 0 in
   List.iter
     (fun md ->
       let content = read_file md in
       links := !links + check_links md content;
       mentions := !mentions + check_flags flags md content;
       uses := !uses + check_subcommands cmds md content;
-      specs := !specs + check_specs sites md content)
+      specs := !specs + check_specs sites md content;
+      apis := !apis + check_api_refs libs md content)
     mds;
-  let refs = check_odoc_refs (libraries !root) in
+  let refs = check_odoc_refs libs in
   if !errors > 0 then begin
     Printf.eprintf "doc-check: %d problem(s)\n" !errors;
     exit 1
   end;
   Printf.printf
     "doc-check: %d files, %d relative links, %d flag mentions, %d \
-     subcommand mentions, %d failpoint specs%s — all good\n"
+     subcommand mentions, %d failpoint specs%s%s — all good\n"
     (List.length mds) !links !mentions !uses !specs
+    (if !apis > 0 then Printf.sprintf ", %d API references" !apis else "")
     (if refs > 0 then Printf.sprintf ", %d odoc module references" refs
      else "")
