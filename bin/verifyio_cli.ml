@@ -608,10 +608,11 @@ let fuzz_resilience seed count smoke retries budget timeout_ms =
             fst (Viogen.Mutate.random_truncation ~seed:s ~nranks records)
           | _ -> Viogen.Workload.run p
         in
-        Verifyio.Batch.job ~mode:Recorder.Diagnostic.Lenient ~partial:true
-          ?budget
+        Verifyio.Batch.job ?budget
           ~name:(Printf.sprintf "seed%d/%s" s mutations.(kind))
-          ~nranks records)
+          (fun budget ->
+            Verifyio.Pipeline.prepare ~mode:Recorder.Diagnostic.Lenient
+              ~partial:true ~budget ~nranks records))
   in
   let isolated = Verifyio.Batch.run_isolated ~retries ?timeout_ms jobs in
   print_string (Verifyio.Report.quarantine_summary isolated);
@@ -1237,7 +1238,8 @@ let torture_seeds_arg =
     & info [ "seeds" ] ~docv:"N"
         ~doc:
           "Workload seeds to sweep; each runs the full per-seed scenario \
-           matrix (23 scenarios covering every failpoint site).")
+           matrix (23 scenarios covering every failpoint site: codec \
+           reads, isolated batch jobs and the serve protocol).")
 
 let torture_base_seed_arg =
   Arg.(
@@ -1260,7 +1262,8 @@ let torture_smoke_arg =
     value & flag
     & info [ "smoke" ]
         ~doc:
-          "CI-sized campaign: one seed (23 scenarios), same invariants as \
+          "CI-sized campaign: one seed (23 scenarios: codec reads, \
+           isolated batch jobs, the serve protocol), same invariants as \
            the full sweep.")
 
 let torture_term =

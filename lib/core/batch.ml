@@ -1,39 +1,22 @@
 type job = {
   name : string;
-  nranks : int;
-  records : Recorder.Record.t list;
+  prepare : Vio_util.Budget.t -> Pipeline.prepared;
   models : Model.t list;
-  engine : Reach.engine option;
-  mode : Recorder.Diagnostic.mode;
-  upstream : Recorder.Diagnostic.t list;
-  partial : bool;
   budget : int option;
   timeout_ms : int option;
 }
 
-let job ?models ?engine ?(mode = Recorder.Diagnostic.Strict) ?(upstream = [])
-    ?(partial = false) ?budget ?timeout_ms ~name ~nranks records =
+let job ?models ?budget ?timeout_ms ~name prepare =
   (match timeout_ms with
   | Some ms when ms < 1 -> invalid_arg "Batch.job: timeout_ms must be positive"
   | _ -> ());
   {
     name;
-    nranks;
-    records;
+    prepare;
     models = Option.value ~default:Model.builtin models;
-    engine;
-    mode;
-    upstream;
-    partial;
     budget;
     timeout_ms;
   }
-
-type result = {
-  job : job;
-  outcomes : (Model.t * Pipeline.outcome) list;
-  wall : float;
-}
 
 let default_domains () = min 8 (Domain.recommended_domain_count ())
 
@@ -42,28 +25,20 @@ let default_domains () = min 8 (Domain.recommended_domain_count ())
    effective value is what reports record. *)
 let effective_domains = function
   | Some n when n >= 1 -> min n (Domain.recommended_domain_count ())
-  | Some _ -> invalid_arg "Batch.run: domains must be positive"
+  | Some _ -> invalid_arg "Batch.run_isolated: domains must be positive"
   | None -> default_domains ()
 
-let run_job j =
+(* One budget covers both bounds: the deterministic step limit (when
+   set) and the wall-clock deadline, checked at the same charge points. *)
+let run_job ~timeout_ms j =
   Vio_util.Failpoint.hit "batch.worker";
-  let t0 = Unix.gettimeofday () in
-  (* One budget covers both bounds: the deterministic step limit and (when
-     set) the wall-clock deadline, checked at the same charge points. *)
   let budget =
-    match (j.budget, j.timeout_ms) with
-    | None, None -> None
-    | Some steps, timeout_ms -> Some (Vio_util.Budget.create ?timeout_ms steps)
-    | None, Some timeout_ms -> Some (Vio_util.Budget.timer ~timeout_ms ())
+    match j.budget with
+    | Some steps -> Vio_util.Budget.create ~timeout_ms steps
+    | None -> Vio_util.Budget.timer ~timeout_ms ()
   in
-  let p =
-    Pipeline.prepare ?engine:j.engine ~mode:j.mode ~upstream:j.upstream
-      ~partial:j.partial ?budget ~nranks:j.nranks j.records
-  in
-  let outcomes =
-    List.map (fun m -> (m, Pipeline.verify_prepared ~model:m p)) j.models
-  in
-  { job = j; outcomes; wall = Unix.gettimeofday () -. t0 }
+  let p = j.prepare budget in
+  List.map (fun m -> (m, Pipeline.verify_prepared ~model:m p)) j.models
 
 (* The one worker pool: map [f] over [jobs] on up to [ndomains] domains,
    results in job order. Each worker claims the next unclaimed job from a
@@ -108,11 +83,6 @@ let pool ~ndomains f jobs =
          | None -> assert false (* every index below [n] was claimed *))
        results)
 
-let run ?domains jobs =
-  let ndomains = effective_domains domains in
-  pool ~ndomains (fun j -> try Ok (run_job j) with exn -> Error exn) jobs
-  |> List.map (function Ok r -> r | Error exn -> raise exn)
-
 type status =
   | Done of (Model.t * Pipeline.outcome) list
   | Timed_out of { stage : string; limit : int; used : int }
@@ -127,8 +97,11 @@ type isolated = {
 
 let default_timeout_ms = 60_000
 
-let run_isolated_job ~retries ~backoff_ms j =
+let run_isolated_job ~retries ~backoff_ms ~default_ms j =
   let t0 = Unix.gettimeofday () in
+  (* The supervisor guarantees every job a wall-clock bound: a job without
+     its own [timeout_ms] inherits the run's. *)
+  let timeout_ms = Option.value ~default:default_ms j.timeout_ms in
   let max_attempts = 1 + max 0 retries in
   (* Decorrelated jitter, seeded per job name: retry instants spread out
      instead of synchronizing across a wave of same-failure jobs, and a
@@ -140,12 +113,16 @@ let run_isolated_job ~retries ~backoff_ms j =
   in
   let wait _k = Vio_util.Backoff.sleep_ms (Vio_util.Backoff.jitter_ms (Lazy.force jit)) in
   let rec attempt k =
-    match run_job j with
-    | r -> (Done r.outcomes, k)
+    match run_job ~timeout_ms j with
+    | outcomes -> (Done outcomes, k)
     | exception Vio_util.Budget.Exhausted { stage; limit; used } ->
       (* Budgets are deterministic step counts: re-running the job would
          exhaust at exactly the same point, so a retry is pure waste. *)
       (Timed_out { stage; limit; used }, k)
+    | exception exn when Pipeline.is_malformed exn ->
+      (* So is a malformed trace: the same bytes fail the same way, and a
+         retry would only add a backoff wait. *)
+      (Quarantined { attempts = k; error = Printexc.to_string exn }, k)
     | exception Vio_util.Budget.Deadline_exceeded { stage; timeout_ms; elapsed_ms }
       ->
       (* A wall-clock overrun, unlike a step overrun, depends on machine
@@ -178,32 +155,5 @@ let run_isolated ?domains ?(retries = 1) ?timeout_ms ?(backoff_ms = 0) jobs =
   | Some ms when ms < 1 ->
     invalid_arg "Batch.run_isolated: timeout_ms must be positive"
   | _ -> ());
-  (* The supervisor guarantees every job a wall-clock bound: a job without
-     its own [timeout_ms] inherits the run's (default 60 s). *)
   let default_ms = Option.value ~default:default_timeout_ms timeout_ms in
-  let jobs =
-    List.map
-      (fun j ->
-        match j.timeout_ms with
-        | Some _ -> j
-        | None -> { j with timeout_ms = Some default_ms })
-      jobs
-  in
-  pool ~ndomains (run_isolated_job ~retries ~backoff_ms) jobs
-
-let quarantined isolated =
-  List.filter
-    (fun i -> match i.i_status with Quarantined _ -> true | _ -> false)
-    isolated
-
-let verdicts_agree (a : result) (b : result) =
-  List.length a.outcomes = List.length b.outcomes
-  && List.for_all2
-       (fun ((ma : Model.t), (oa : Pipeline.outcome))
-            ((mb : Model.t), (ob : Pipeline.outcome)) ->
-         ma.Model.name = mb.Model.name
-         && oa.Pipeline.races = ob.Pipeline.races
-         && List.length oa.Pipeline.unmatched
-            = List.length ob.Pipeline.unmatched
-         && oa.Pipeline.conflicts = ob.Pipeline.conflicts)
-       a.outcomes b.outcomes
+  pool ~ndomains (run_isolated_job ~retries ~backoff_ms ~default_ms) jobs

@@ -1,69 +1,57 @@
-(** Domain-parallel batch verification — many (trace × model) pipeline
-    runs across OCaml domains, sharing per-trace artifacts.
+(** Domain-parallel, fault-isolated batch verification — many (trace ×
+    model) verifications across OCaml domains, one preparation per trace.
 
     An extension beyond the paper, whose evaluation (§V) verifies its 91
     test executions strictly sequentially, re-running the whole pipeline
     for each of the four models. This engine restructures that corpus
     work along two axes:
 
-    - {b sharing}: each job's trace is decoded once, its conflicts
-      detected once, its happens-before graph and engine built once
-      ({!Pipeline.prepare}), and every requested model verified from
-      those shared artifacts ({!Pipeline.verify_prepared}) — ~4× less
-      stage work than the sequential per-model pipeline for the builtin
-      model set;
+    - {b sharing}: each job's preparation runs once (decode, conflicts,
+      happens-before graph and engine; typically
+      {!Pipeline.prepare_file} or {!Pipeline.prepare}), and every
+      requested model is verified from it ({!Pipeline.verify_prepared})
+      — ~4× less stage work than the sequential per-model pipeline for
+      the builtin model set;
     - {b parallelism}: jobs are claimed from a shared-counter task queue
-      by [domains] worker domains. A job never spans domains, so the
-      memoizing happens-before engine stays domain-local and no
-      verification state is shared.
+      by [domains] worker domains. A job, its preparation included,
+      never spans domains, so the memoizing happens-before engine stays
+      domain-local and no verification state is shared.
 
-    Verdicts are bit-identical to the sequential pipeline for every
-    domain count (qcheck-property-tested in [test/test_batch.ml]): job
-    claiming only decides {e which} domain runs a job, and each job is a
-    deterministic function of its inputs. *)
+    Every job ends in a verdict or a verdict about its failure, never an
+    exception: the supervisor loop of [verifyio serve] and of long
+    fuzzing or corpus-verification campaigns. Verdicts are bit-identical
+    to the sequential pipeline for every domain count
+    (qcheck-property-tested in [test/test_batch.ml]): job claiming only
+    decides {e which} domain runs a job, and each job is a deterministic
+    function of its inputs. *)
 
 type job = {
   name : string;  (** label for reports; not interpreted *)
-  nranks : int;  (** the trace's rank count *)
-  records : Recorder.Record.t list;  (** the raw trace *)
+  prepare : Vio_util.Budget.t -> Pipeline.prepared;
+      (** the caller's preparation, run on the worker domain once per
+          attempt with that attempt's budget, which it must pass to the
+          pipeline: the budget carries the job's step and wall-clock
+          bounds *)
   models : Model.t list;  (** models to verify, in output order *)
-  engine : Reach.engine option;  (** [None] = dynamic selection *)
-  mode : Recorder.Diagnostic.mode;
-  upstream : Recorder.Diagnostic.t list;
-      (** pre-decode diagnostics, as in {!Pipeline.prepare} *)
-  partial : bool;  (** partial MPI matching, as in {!Pipeline.prepare} *)
   budget : int option;
       (** per-attempt step budget ({!Pipeline.prepare}'s stage charges);
           [None] = unbounded *)
   timeout_ms : int option;
       (** per-attempt wall-clock bound, enforced cooperatively at the
           budget's charge points ({!Vio_util.Budget.Deadline_exceeded});
-          [None] = unbounded under {!run}, the run's default under
-          {!run_isolated} *)
+          [None] = the run's default *)
 }
 
 val job :
   ?models:Model.t list ->
-  ?engine:Reach.engine ->
-  ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
-  ?partial:bool ->
   ?budget:int ->
   ?timeout_ms:int ->
   name:string ->
-  nranks:int ->
-  Recorder.Record.t list ->
+  (Vio_util.Budget.t -> Pipeline.prepared) ->
   job
-(** Job constructor; [models] defaults to {!Model.builtin}, [partial] to
-    false, [budget] and [timeout_ms] to unbounded.
+(** Job constructor; [models] defaults to {!Model.builtin}, [budget] to
+    unbounded and [timeout_ms] to the run's default.
     @raise Invalid_argument if [timeout_ms] is [< 1]. *)
-
-type result = {
-  job : job;
-  outcomes : (Model.t * Pipeline.outcome) list;
-      (** one per requested model, in [job.models] order *)
-  wall : float;  (** this job's wall-clock seconds on its worker domain *)
-}
 
 val default_domains : unit -> int
 (** [min 8 (Domain.recommended_domain_count ())] — the worker count used
@@ -77,23 +65,6 @@ val effective_domains : int option -> int
 
     @raise Invalid_argument if the request is [< 1]. *)
 
-val run : ?domains:int -> job list -> result list
-(** Run every job; results are in job order regardless of scheduling.
-    [domains = 1] (or a single job) runs inline with no domain spawned;
-    requests above {!effective_domains} are clamped. If a job raises
-    (e.g. a strict-mode {!Estore.Malformed}), the remaining claimed jobs
-    still complete, then the first failing job's exception (in job order)
-    is re-raised.
-
-    @raise Invalid_argument if [domains < 1]. *)
-
-(** {2 Fault-isolated runs}
-
-    {!run} has all-or-nothing semantics: one malformed trace in a corpus
-    kills the whole batch. The isolated runner instead gives every job a
-    verdict-or-verdict-about-the-failure, never re-raising — the
-    supervisor loop of a long fuzzing or corpus-verification campaign. *)
-
 type status =
   | Done of (Model.t * Pipeline.outcome) list
       (** verified; one outcome per requested model, in [models] order *)
@@ -106,8 +77,10 @@ type status =
           after the retry allowance is spent, because wall time, unlike
           steps, depends on machine load. *)
   | Quarantined of { attempts : int; error : string }
-      (** every attempt raised; [error] is the last exception. The trace
-          should be set aside for offline inspection. *)
+      (** the job raised on every attempt; [error] is the last exception.
+          A malformed trace ({!Pipeline.is_malformed}) is quarantined
+          after one attempt, because the same bytes fail the same way.
+          The trace should be set aside for offline inspection. *)
 
 type isolated = {
   i_job : job;
@@ -130,22 +103,15 @@ val run_isolated :
 (** Run every job with per-job fault isolation: an exception is caught on
     the worker domain, retried up to [retries] more times (default 1),
     and finally quarantined; a {!Vio_util.Budget.Exhausted} becomes
-    {!Timed_out} immediately, a {!Vio_util.Budget.Deadline_exceeded} is
-    retried (with {!Vio_util.Backoff} waits of [backoff_ms·2^(k-1)]
-    between attempts; [backoff_ms] defaults to 0 = no wait) and becomes
-    {!Timed_out} when the allowance is spent. Every job is bounded:
-    [timeout_ms] (default {!default_timeout_ms}) is applied to jobs
-    without their own. Results are in job order; never raises on a job
-    failure. Each job's status, attempt count and wall time are in its
-    {!isolated} record.
+    {!Timed_out} and a malformed trace {!Quarantined}, both immediately;
+    a {!Vio_util.Budget.Deadline_exceeded} is retried (with
+    {!Vio_util.Backoff} waits of [backoff_ms·2^(k-1)] between attempts;
+    [backoff_ms] defaults to 0 = no wait) and becomes {!Timed_out} when
+    the allowance is spent. Every job is bounded: [timeout_ms] (default
+    {!default_timeout_ms}) is applied to jobs without their own. Results
+    are in job order regardless of scheduling; [domains = 1] (or a single
+    job) runs inline with no domain spawned, and requests above
+    {!effective_domains} are clamped. Never raises on a job failure.
 
     @raise Invalid_argument if [domains < 1], [retries < 0],
     [timeout_ms < 1] or [backoff_ms < 0]. *)
-
-val quarantined : isolated list -> isolated list
-(** The jobs that ended {!Quarantined}, in input order. *)
-
-val verdicts_agree : result -> result -> bool
-(** Same models in the same order with identical race lists, unmatched
-    counts and conflict counts — the batch-determinism check used by the
-    property tests. *)

@@ -249,6 +249,10 @@ let prepare_file ?engine ?(mode = D.Strict) ?(partial = false) ?budget path =
   prepare_store ?engine ~mode ~upstream:[] ~partial ?budget ~t_read
     ~n_decoded:(Estore.length d) d
 
+let is_malformed = function
+  | Recorder.Codec.Malformed _ | Estore.Malformed _ -> true
+  | _ -> false
+
 let verify_prepared ?(pruning = true) ~model p =
   let t_verify, (races, stats) =
     timed (fun () ->

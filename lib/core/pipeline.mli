@@ -151,6 +151,11 @@ val prepare_file :
     In strict mode raises {!Recorder.Codec.Malformed} on undecodable
     input and [Sys_error] if the file cannot be read. *)
 
+val is_malformed : exn -> bool
+(** Whether strict {!prepare} or {!prepare_file} raised [exn] to refuse
+    its input ({!Recorder.Codec.Malformed}, {!Estore.Malformed}). The same
+    input fails the same way on every attempt, so retrying cannot help. *)
+
 val verify_prepared :
   ?pruning:bool -> model:Model.t -> prepared -> outcome
 (** Derive one model's verdict from prepared artifacts. Only the verify

@@ -27,7 +27,7 @@ let of_outcomes outcomes : verdict list =
 
 let subject_names =
   List.map (fun e -> "engine:" ^ V.Reach.engine_name e) V.Reach.all_engines
-  @ [ "sequential"; "shared"; "batch" ]
+  @ [ "sequential"; "shared" ]
 
 let subjects ~models ~nranks records : (string * verdict list) list =
   let verify_all p =
@@ -43,10 +43,7 @@ let subjects ~models ~nranks records : (string * verdict list) list =
           (List.map
              (fun m -> (m, P.verify_prepared ~model:m (P.prepare ~nranks records)))
              models) );
-      ("shared", shared None);
-      ( "batch",
-        let job = V.Batch.job ~name:"fuzz" ~models ~nranks records in
-        of_outcomes (List.hd (V.Batch.run [ job ])).V.Batch.outcomes ) ]
+      ("shared", shared None) ]
 
 let render_pairs = function
   | [] -> "{}"

@@ -13,17 +13,16 @@
     - [sequential] — one {!Verifyio.Pipeline.prepare} per model, the
       nothing-shared baseline;
     - [shared] — one {!Verifyio.Pipeline.prepare} with dynamic engine
-      selection, shared by every model;
-    - [batch] — {!Verifyio.Batch.run} on a one-job list, which runs
-      inline on the calling domain. Verdict identity across domain
-      counts is the batch tests' job, not the fuzzer's.
+      selection, shared by every model. The batch runner verifies a job
+      exactly this way, and its verdict identity across domain counts is
+      the batch tests' job, not the fuzzer's.
 
     A {!mutation} lets the test suite break one subject on purpose and
     confirm the harness catches and shrinks it — the mutation smoke
     check of the fuzz tests. *)
 
 type divergence = {
-  subject : string;  (** e.g. ["engine:vector-clock"], ["batch"] *)
+  subject : string;  (** e.g. ["engine:vector-clock"], ["shared"] *)
   model : string;
   expected : string;  (** rendered oracle verdict *)
   got : string;  (** rendered subject verdict *)

@@ -136,7 +136,8 @@ let encode ~nranks records =
 
 (* A trace to decode: [len] bytes, of which [read pos buf off n] copies
    [pos .. pos + n - 1] into [buf] at [off]. Built from a string or from
-   an open channel, so both entry points run the same decoders. *)
+   a file ([with_file_input]), so both entry points run the same
+   decoders. *)
 type input = { len : int; read : int -> Bytes.t -> int -> int -> unit }
 
 let input_of_string s =
@@ -145,19 +146,42 @@ let input_of_string s =
     read = (fun pos buf off n -> Bytes.blit_string s pos buf off n);
   }
 
-let input_of_channel ic =
-  {
-    len = in_channel_length ic;
-    read =
-      (fun pos buf off n ->
-        seek_in ic pos;
-        really_input ic buf off n);
-  }
-
 let block input pos len =
   let b = Bytes.create len in
   input.read pos b 0 len;
   b
+
+(* The one file input, and the whole of the [codec.read] failpoint site:
+   a hit before the file is opened ([fail], [delay]), a length clamped
+   by [short] (a truncated read), and under [bitflip] one bit flipped in
+   every read that covers its byte (media corruption). Both entry points
+   read files through it, so a faulted file gives the same bytes to
+   [read_file] and to [fold_records], and both flow through the real
+   validation (trailer locator, body CRC), never a synthetic error. *)
+let with_file_input path k =
+  Vio_util.Failpoint.hit "codec.read";
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let len =
+        Vio_util.Failpoint.adjust_len "codec.read" (in_channel_length ic)
+      in
+      let flip = Vio_util.Failpoint.bitflip "codec.read" ~len in
+      k
+        {
+          len;
+          read =
+            (fun pos buf off n ->
+              seek_in ic pos;
+              really_input ic buf off n;
+              match flip with
+              | Some (i, bit) when pos <= i && i < pos + n ->
+                let j = off + i - pos in
+                Bytes.set buf j
+                  (Char.chr (Char.code (Bytes.get buf j) lxor (1 lsl bit)))
+              | _ -> ());
+        })
 
 let chunk = 1 lsl 16
 
@@ -539,19 +563,8 @@ let decode_from ~mode rd ~emit =
     finish ~nranks
 
 let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      (* Failpoint site codec.read: a [short] policy models a truncated
-         read, [bitflip] models media corruption — both then flow
-         through the real validation (trailer locator, body CRC), never
-         a synthetic error. *)
-      Vio_util.Failpoint.hit "codec.read";
-      let n =
-        Vio_util.Failpoint.adjust_len "codec.read" (in_channel_length ic)
-      in
-      Vio_util.Failpoint.mangle "codec.read" (really_input_string ic n))
+  with_file_input path (fun input ->
+      Bytes.unsafe_to_string (block input 0 input.len))
 
 type 'a folded = {
   f_nranks : int;
@@ -1171,11 +1184,4 @@ let decode_ext ?mode s =
   }
 
 let fold_records ?mode path ~init ~f =
-  (* The file is read in blocks, so only the control-flow policies
-     (fail/delay) of codec.read apply here; data corruption is injected
-     on the whole-buffer [read_file] path. *)
-  Vio_util.Failpoint.hit "codec.read";
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> fold ?mode (input_of_channel ic) ~init ~f)
+  with_file_input path (fun input -> fold ?mode input ~init ~f)

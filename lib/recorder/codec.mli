@@ -119,13 +119,20 @@ val fold_records :
     is folded over the segments as they pass and checked after the
     records (docs/format.md §4). Strict mode raises {!Malformed} (with
     byte offset, and record number on text input) as {!decode_ext} does;
-    records emitted before the failure have already been folded. Hits
-    the [codec.read] failpoint before opening the file.
+    records emitted before the failure have already been folded.
+
+    The file is read through the [codec.read] failpoint site, as
+    {!read_file} reads it: [fail]/[delay] act before the file is opened,
+    [short:N] reads at most its first [N] bytes, and [bitflip] flips one
+    deterministic bit of what is read (docs/robustness.md).
     @raise Sys_error if the file cannot be opened. *)
 
 val read_file : string -> string
 (** Raw file contents (exposed so callers can inject faults into an
-    encoded trace before decoding it). *)
+    encoded trace before decoding it), read through the same faulted
+    input as {!fold_records}: for one [codec.read] hit number,
+    [decode_ext (read_file path)] and [fold_records path] see the same
+    bytes and give the same answer. *)
 
 val escape : string -> string
 (** Percent-escaping of whitespace, [%] and newlines used for argument

@@ -130,14 +130,10 @@ let fresh_entry (s : Spool.jobspec) (model : Verifyio.Model.t) =
     if s.Spool.lenient then Recorder.Diagnostic.Lenient
     else Recorder.Diagnostic.Strict
   in
-  let dec =
-    Recorder.Codec.decode_ext ~mode (Recorder.Codec.read_file s.Spool.trace)
-  in
   let budget = Option.map Vio_util.Budget.create s.Spool.budget in
   let p =
-    Verifyio.Pipeline.prepare ~mode ~upstream:dec.Recorder.Codec.diagnostics
-      ~partial:s.Spool.partial ?budget ~nranks:dec.Recorder.Codec.nranks
-      dec.Recorder.Codec.records
+    Verifyio.Pipeline.prepare_file ~mode ~partial:s.Spool.partial ?budget
+      s.Spool.trace
   in
   Cache.render
     (Cache.verdict_json ~flags:(Spool.flags_string s)

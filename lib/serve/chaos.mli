@@ -55,8 +55,9 @@ type report = {
 
 val fresh_entry : Spool.jobspec -> Verifyio.Model.t -> string
 (** The ground-truth cache entry for one job and model: the job's trace
-    decoded and verified in process, sequentially, under the job's
-    flags and step budget, and rendered through the same
+    read with {!Verifyio.Pipeline.prepare_file} and verified in process,
+    sequentially, under the job's flags and step budget, and rendered
+    through the same
     {!Cache.verdict_json} the daemon uses. It runs through neither
     {!Daemon} nor {!Verifyio.Batch}, because the chaos and torture
     campaigns byte-compare their entries against it. *)

@@ -179,9 +179,9 @@ let respond_cached st (spec : Spool.jobspec) ~attempts verdicts =
 
 type compute = {
   k_spec : Spool.jobspec;
+  k_attempt : int;
   k_sha : string;
   k_flags : string;
-  k_models : Verifyio.Model.t list;
   k_job : Verifyio.Batch.job;
 }
 
@@ -286,7 +286,7 @@ let rec chunks n = function
     let c, rest = take n [] l in
     c :: chunks n rest
 
-let finish_chunk st ready isolated =
+let finish_chunk st chunk isolated =
   List.iter2
     (fun k (i : Verifyio.Batch.isolated) ->
       let spec = k.k_spec in
@@ -347,7 +347,7 @@ let finish_chunk st ready isolated =
           }
       | Verifyio.Batch.Quarantined { attempts; error } ->
         quarantine st spec ~attempts ~error)
-    ready isolated
+    chunk isolated
 
 let process_wave st =
   let wave = st.pending in
@@ -356,13 +356,13 @@ let process_wave st =
   List.iter
     (fun ((spec : Spool.jobspec), crashes) ->
       let attempt = crashes + 1 in
-      if not (Sys.file_exists spec.Spool.trace) then begin
+      match Vio_util.Sha256.digest_file spec.Spool.trace with
+      | exception Sys_error e ->
+        (* Missing, a directory, or unreadable: the same on every
+           restart, so the job ends here rather than crash-looping. *)
         Journal.started st.jn ~id:spec.Spool.id ~attempt;
-        quarantine st spec ~attempts:attempt
-          ~error:(Printf.sprintf "trace file missing: %s" spec.Spool.trace)
-      end
-      else begin
-        let trace_sha256 = Vio_util.Sha256.digest_file spec.Spool.trace in
+        quarantine st spec ~attempts:attempt ~error:("unreadable trace: " ^ e)
+      | trace_sha256 -> (
         let flags = Spool.flags_string spec in
         let resolved =
           List.map
@@ -392,60 +392,42 @@ let process_wave st =
             Journal.started st.jn ~id:spec.Spool.id ~attempt;
             respond_cached st spec ~attempts:attempt verdicts
           | None ->
-            to_compute := (spec, attempt, trace_sha256, flags, models)
-                          :: !to_compute)
-      end)
-    wave;
-  List.iter
-    (fun chunk ->
-      let ready = ref [] in
-      List.iter
-        (fun ((spec : Spool.jobspec), attempt, trace_sha256, flags, models) ->
-          Journal.started st.jn ~id:spec.Spool.id ~attempt;
-          let mode =
-            if spec.Spool.lenient then Recorder.Diagnostic.Lenient
-            else Recorder.Diagnostic.Strict
-          in
-          match
-            Recorder.Codec.decode_ext ~mode
-              (Recorder.Codec.read_file spec.Spool.trace)
-          with
-          | exception Recorder.Codec.Malformed { line; reason; _ } ->
-            quarantine st spec ~attempts:attempt
-              ~error:
-                (Printf.sprintf "malformed trace (line %d): %s" line reason)
-          | exception Sys_error e ->
-            quarantine st spec ~attempts:attempt
-              ~error:("unreadable trace: " ^ e)
-          | dec ->
+            let mode =
+              if spec.Spool.lenient then Recorder.Diagnostic.Lenient
+              else Recorder.Diagnostic.Strict
+            in
+            (* The trace streams into the store on the worker, inside the
+               job's attempt; a malformed one is quarantined there. *)
             let job =
-              Verifyio.Batch.job ~models ~mode
-                ~upstream:dec.Recorder.Codec.diagnostics
-                ~partial:spec.Spool.partial
+              Verifyio.Batch.job ~models
                 ?budget:
                   (match spec.Spool.budget with
                   | Some _ as b -> b
                   | None -> st.cfg.default_budget)
                 ?timeout_ms:spec.Spool.timeout_ms ~name:spec.Spool.id
-                ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records
+                (fun budget ->
+                  Verifyio.Pipeline.prepare_file ~mode
+                    ~partial:spec.Spool.partial ~budget spec.Spool.trace)
             in
-            ready :=
-              { k_spec = spec; k_sha = trace_sha256; k_flags = flags;
-                k_models = models; k_job = job }
-              :: !ready)
+            to_compute :=
+              { k_spec = spec; k_attempt = attempt; k_sha = trace_sha256;
+                k_flags = flags; k_job = job }
+              :: !to_compute)))
+    wave;
+  List.iter
+    (fun chunk ->
+      List.iter
+        (fun k ->
+          Journal.started st.jn ~id:k.k_spec.Spool.id ~attempt:k.k_attempt)
         chunk;
-      let ready = List.rev !ready in
-      if ready <> [] then begin
-        let isolated =
-          Verifyio.Batch.run_isolated ?domains:st.cfg.domains
-            ~retries:st.cfg.retries ~timeout_ms:st.cfg.timeout_ms
-            ~backoff_ms:st.cfg.backoff_ms
-            (List.map (fun k -> k.k_job) ready)
-        in
-        finish_chunk st ready isolated
-      end)
+      let isolated =
+        Verifyio.Batch.run_isolated ?domains:st.cfg.domains
+          ~retries:st.cfg.retries ~timeout_ms:st.cfg.timeout_ms
+          ~backoff_ms:st.cfg.backoff_ms
+          (List.map (fun k -> k.k_job) chunk)
+      in
+      finish_chunk st chunk isolated)
     (chunks (chunk_size st) (List.rev !to_compute))
-
 
 let replay_startup st =
   let re = Journal.replay st.spool.Spool.journal in

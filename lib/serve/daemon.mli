@@ -4,14 +4,16 @@
 
     One cycle: admit ([incoming/] → [claimed/], gated by the
     {!Vio_util.Budget}-driven high-water mark), probe the cache (every
-    model cached → respond in O(hash)), run the cache misses as one
-    supervised wave (inheriting the batch engine's retries, step budgets,
-    wall-clock watchdog with exponential backoff, and quarantine), then
-    durably finish each job in write-ahead order: cache entries first,
-    response file second, journal [finished] third, claimed file removed
-    last. A crash between any two steps is recovered by journal replay —
-    re-enqueued jobs recompute idempotently (or hit the cache entries the
-    dead daemon already installed).
+    model cached → respond in O(hash); a trace that cannot be hashed is
+    quarantined here), run the cache misses as one supervised wave, each
+    job streaming its trace into the store on its worker
+    ({!Verifyio.Pipeline.prepare_file}) and inheriting the batch engine's
+    retries, step budgets, wall-clock watchdog with exponential backoff,
+    and quarantine, then durably finish each job in write-ahead order:
+    cache entries first, response file second, journal [finished] third,
+    claimed file removed last. A crash between any two steps is recovered
+    by journal replay — re-enqueued jobs recompute idempotently (or hit
+    the cache entries the dead daemon already installed).
 
     On startup, {!run} replays the journal: in-flight jobs are
     re-enqueued unless they have crashed more than [crash_retries]

@@ -73,12 +73,16 @@ let jobspec_of_json doc =
       | Some b -> Ok b
       | None -> Error (Printf.sprintf "job spec: non-bool %S" key))
   in
+  (* Both optional ints are bounds, so only a positive one is a spec:
+     [Batch.job] and [Budget.create] refuse anything below 1. *)
   let opt_int key =
     match J.member key doc with
     | None | Some J.Null -> Ok None
     | Some v -> (
       match J.to_int v with
-      | Some i -> Ok (Some i)
+      | Some i when i >= 1 -> Ok (Some i)
+      | Some i ->
+        Error (Printf.sprintf "job spec: %S must be >= 1, got %d" key i)
       | None -> Error (Printf.sprintf "job spec: non-int %S" key))
   in
   let ( let* ) = Result.bind in

@@ -50,6 +50,9 @@ type jobspec = {
 val jobspec_to_json : jobspec -> Vio_util.Json.t
 
 val jobspec_of_json : Vio_util.Json.t -> (jobspec, string) result
+(** [Error] names the first missing or ill-typed field, or a [budget] or
+    [timeout_ms] below 1. Every spec the daemon admits or replays passes
+    through here, whoever wrote the [.job] file. *)
 
 val flags_string : jobspec -> string
 (** The canonical rendering of a spec's verification configuration —

@@ -92,29 +92,18 @@ let shared_digest pairs =
 (* ---- execution paths under test --------------------------------------- *)
 
 let codec_path ~mode path () =
-  let dec = Recorder.Codec.decode_ext ~mode (Recorder.Codec.read_file path) in
-  let p =
-    Verifyio.Pipeline.prepare ~mode ~upstream:dec.Recorder.Codec.diagnostics
-      ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records
-  in
+  let p = Verifyio.Pipeline.prepare_file ~mode path in
   shared_digest [ (m0, Verifyio.Pipeline.verify_prepared ~model:m0 p) ]
 
-(* The batch scenarios inject [batch.worker] faults, not [codec.read]
-   ones, so their jobs carry records decoded before any fault is armed. *)
+(* The isolated scenarios' jobs read their traces on the worker, as serve
+   jobs do, so [batch.worker] and [codec.read] faults both land inside a
+   job's attempt. *)
 let batch_jobs ~bin ~txt =
   let job i path =
-    let dec = Recorder.Codec.decode_ext (Recorder.Codec.read_file path) in
     Verifyio.Batch.job ~models:[ m0 ] ~name:(Printf.sprintf "tj%d" i)
-      ~nranks:dec.Recorder.Codec.nranks dec.Recorder.Codec.records
+      (fun budget -> Verifyio.Pipeline.prepare_file ~budget path)
   in
   [ job 0 bin; job 1 txt; job 2 bin ]
-
-let batch_path jobs () =
-  Verifyio.Batch.run ~domains:2 jobs
-  |> List.map (fun (r : Verifyio.Batch.result) ->
-         r.Verifyio.Batch.job.Verifyio.Batch.name ^ "="
-         ^ shared_digest r.Verifyio.Batch.outcomes)
-  |> String.concat "/"
 
 let isolated_path jobs () =
   Verifyio.Batch.run_isolated ~domains:2 ~retries:3 ~backoff_ms:1 jobs
@@ -341,7 +330,6 @@ let run cfg =
     let base_bin_lenient = codec_path ~mode:lenient bin () in
     let base_txt_strict = codec_path ~mode:strict txt () in
     let jobs = batch_jobs ~bin ~txt in
-    let base_batch = batch_path jobs () in
     let base_isolated = isolated_path jobs () in
     let sc ~klass ~baseline ~path spec run =
       scenario st
@@ -382,17 +370,18 @@ let run cfg =
       "codec.read=fail" txt_strict;
     sc ~klass:Exact ~baseline:base_txt_strict ~path:"text-strict"
       "codec.read=delay:2" txt_strict;
-    (* batch.worker: Batch.run surfaces the injected error (documented);
-       Batch.run_isolated's retry loop absorbs it. *)
-    sc ~klass:Documented ~baseline:base_batch ~path:"batch"
-      "batch.worker=fail@2" (batch_path jobs);
-    sc ~klass:Exact ~baseline:base_batch ~path:"batch" "batch.worker=delay:1"
-      (batch_path jobs);
+    (* The isolated batch runner: a transient worker or read fault is
+       retried away; a read that cuts every trace short quarantines the
+       jobs (malformed, so after one attempt) and never crashes the batch. *)
     sc ~klass:Exact ~baseline:base_isolated ~path:"isolated"
       "batch.worker=fail" (isolated_path jobs);
     sc ~klass:No_crash ~baseline:base_isolated ~path:"isolated"
       (Printf.sprintf "batch.worker=prob:0.2:%d" (11 + seed))
       (isolated_path jobs);
+    sc ~klass:Exact ~baseline:base_isolated ~path:"isolated"
+      "codec.read=fail@2" (isolated_path jobs);
+    sc ~klass:No_crash ~baseline:base_isolated ~path:"isolated"
+      "codec.read=short:64" (isolated_path jobs);
     (* The serve protocol: submit, injected-crash incarnation, clean
        recovery incarnation, full crash-safety contract. *)
     let serve ~spec = serve_scenario st ~scratch ~tag ~bin ~txt ~spec in

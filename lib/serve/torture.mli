@@ -1,6 +1,8 @@
 (** The failpoint torture campaign: systematic fault injection across
     every registered {!Vio_util.Failpoint} site, through every execution
-    path that owns one — codec reads, batch workers, and the full
+    path that owns one — codec reads ({!Verifyio.Pipeline.prepare_file},
+    the path [verify FILE] and serve jobs take), isolated batch jobs
+    that read their traces on the worker, and the full
     submit/serve/recover protocol — asserting the global robustness
     invariants:
 
@@ -23,10 +25,13 @@
     scenarios read {!Daemon.summary}'s [cache_store_failures] from the
     faulted incarnation's result and fail when it is zero.
 
-    Every scenario is reproducible from its [site=policy] spec and the
-    campaign seed alone. The default campaign (9 seeds × 23 scenarios =
-    207) clears the 200-scenario floor docs/robustness.md documents;
-    [smoke] runs one seed for CI. *)
+    Per seed: eleven codec-read scenarios (binary strict and lenient,
+    text strict), four isolated-batch scenarios ([batch.worker] and
+    [codec.read] faults inside a job's attempt) and eight serve
+    scenarios. Every scenario is reproducible from its [site=policy]
+    spec and the campaign seed alone. The default campaign (9 seeds × 23
+    scenarios = 207) clears the 200-scenario floor docs/robustness.md
+    documents; [smoke] runs one seed for CI. *)
 
 type config = {
   seeds : int;  (** workload seeds; 23 scenarios each *)

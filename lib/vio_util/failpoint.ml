@@ -16,7 +16,7 @@ let () =
 
 let known_sites =
   [
-    ("codec.read", "whole-trace file read in the codec (short read, bitflip)");
+    ("codec.read", "opening a trace file in the codec (short read, bitflip)");
     ("batch.worker", "entry of every batch job execution");
     ("fsio.atomic_write", "start of a stage-then-rename write");
     ("fsio.fsync", "every durability fsync (staging files, journal appends)");
@@ -85,21 +85,15 @@ let adjust_len site len =
       min len (max 0 n)
     | _ -> len
 
-let mangle site s =
-  if not (Atomic.get on) then s
+let bitflip site ~len =
+  if not (Atomic.get on) then None
   else
     match find site with
     | Some { policy = Bitflip seed; count } ->
       let k = Atomic.fetch_and_add count 1 + 1 in
-      let n = String.length s in
-      if n = 0 then s
-      else begin
-        let b = Bytes.of_string s in
-        let i = mix seed k mod n in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (mix seed (k + 1) mod 8))));
-        Bytes.unsafe_to_string b
-      end
-    | _ -> s
+      if len = 0 then None
+      else Some (mix seed k mod len, mix seed (k + 1) mod 8)
+    | _ -> None
 
 let hit_count site =
   match Hashtbl.find_opt table site with

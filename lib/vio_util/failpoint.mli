@@ -37,7 +37,7 @@ type policy =
   | Fail_prob of float * int  (** probability, seed: raise per-hit *)
   | Delay of int  (** sleep this many ms on every hit *)
   | Short_io of int  (** clamp lengths passed to {!adjust_len} *)
-  | Bitflip of int  (** seed: flip one bit per buffer in {!mangle} *)
+  | Bitflip of int  (** seed: flip one bit per buffer, chosen by {!bitflip} *)
 
 exception Injected of { site : string; hit : int }
 (** The injected fault. Subsystems treat it exactly like the real fault
@@ -72,10 +72,11 @@ val adjust_len : string -> int -> int
     a [Short_io] policy, unchanged otherwise. Counts as a hit only for
     the clamping policy. *)
 
-val mangle : string -> string -> string
-(** Under a [Bitflip] policy, a copy of the buffer with one
-    deterministically-chosen bit flipped; otherwise the argument
-    itself (physical equality — no copy when disabled). *)
+val bitflip : string -> len:int -> (int * int) option
+(** Under a [Bitflip] policy, the bit to flip in a [len]-byte buffer:
+    [Some (byte, bit)] with [byte < len] and [bit < 8], chosen
+    deterministically from the seed and the hit number. Counts as a hit;
+    [None] for an empty buffer and under every other policy. *)
 
 val hit_count : string -> int
 (** How many times the site has been consulted since its policy was

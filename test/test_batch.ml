@@ -1,7 +1,7 @@
-(* The batch engine's headline guarantee: Batch.run produces verdicts
-   bit-identical to the sequential per-model pipeline at every domain
-   count. Exercised as a qcheck property over random corpus subsets and
-   domain counts, plus determinism, error-propagation and edge cases. *)
+(* The batch engine's headline guarantee: Batch.run_isolated produces
+   verdicts bit-identical to the sequential per-model pipeline at every
+   domain count. Exercised as a qcheck property over random corpus
+   subsets and domain counts, plus determinism and edge cases. *)
 
 module H = Workloads.Harness
 module Reg = Workloads.Registry
@@ -47,20 +47,24 @@ let sequential_sigs =
                 V.Model.builtin) ))
        (Lazy.force traces))
 
-let jobs_of selected =
-  List.map
-    (fun ((w : H.t), records) ->
-      B.job ~name:w.H.name ~nranks:w.H.nranks records)
-    selected
+let job_of ?models ((w : H.t), records) =
+  B.job ?models ~name:w.H.name (fun budget ->
+      V.Pipeline.prepare ~budget ~nranks:w.H.nranks records)
+
+let jobs_of selected = List.map job_of selected
+
+let outcomes_of (i : B.isolated) =
+  match i.B.i_status with
+  | B.Done outcomes -> outcomes
+  | _ -> Alcotest.fail (i.B.i_job.B.name ^ ": healthy job not done")
 
 let batch_sigs ~domains selected =
   List.map
-    (fun (r : B.result) -> (r.B.job.B.name, outcomes_sig r.B.outcomes))
-    (B.run ~domains (jobs_of selected))
+    (fun (i : B.isolated) -> (i.B.i_job.B.name, outcomes_sig (outcomes_of i)))
+    (B.run_isolated ~domains (jobs_of selected))
 
-(* The qcheck property from the issue: for all n, Batch.run ~domains:n
-   equals the sequential pipeline. Random subset of the corpus, random
-   domain count 1..4. *)
+(* For all n, Batch.run_isolated ~domains:n equals the sequential
+   pipeline. Random subset of the corpus, random domain count 1..4. *)
 let prop_batch_matches_sequential =
   QCheck2.Test.make ~count:25
     ~name:"Batch.run ~domains:n verdicts = sequential pipeline (n in 1..4)"
@@ -106,72 +110,35 @@ let test_full_corpus_all_domain_counts () =
 let test_results_in_job_order () =
   let all = Lazy.force traces in
   let names = List.map (fun ((w : H.t), _) -> w.H.name) all in
-  let results = B.run ~domains:4 (jobs_of all) in
+  let results = B.run_isolated ~domains:4 (jobs_of all) in
   check_int "one result per job" (List.length names) (List.length results);
   check_bool "results preserve job order" true
-    (List.map (fun (r : B.result) -> r.B.job.B.name) results = names)
-
-let test_verdicts_agree () =
-  let all = Lazy.force traces in
-  let r1 = B.run ~domains:1 (jobs_of all) in
-  let r2 = B.run ~domains:2 (jobs_of all) in
-  List.iter2
-    (fun a b ->
-      check_bool ("verdicts_agree: " ^ a.B.job.B.name) true (B.verdicts_agree a b))
-    r1 r2
+    (List.map (fun (i : B.isolated) -> i.B.i_job.B.name) results = names)
 
 let test_empty_and_single () =
-  check_int "no jobs -> no results" 0 (List.length (B.run ~domains:4 []));
+  check_int "no jobs -> no results" 0
+    (List.length (B.run_isolated ~domains:4 []));
   match Lazy.force traces with
-  | ((w, records) :: _ : (H.t * Recorder.Record.t list) list) ->
-    let r = B.run ~domains:4 [ B.job ~name:w.H.name ~nranks:w.H.nranks records ] in
+  | first :: _ ->
+    let r = B.run_isolated ~domains:4 [ job_of first ] in
     check_int "single job -> single result" 1 (List.length r)
   | [] -> Alcotest.fail "empty registry"
 
 let test_invalid_domains () =
   Alcotest.check_raises "domains = 0 rejected"
-    (Invalid_argument "Batch.run: domains must be positive") (fun () ->
-      ignore (B.run ~domains:0 []))
-
-let test_failing_job_propagates () =
-  (* A strict-mode trace with a data op on a never-opened fd decodes to
-     Op.Malformed; the batch must re-raise it while still completing the
-     healthy jobs around it. *)
-  let bogus =
-    let open Recorder.Record in
-    [
-      {
-        rank = 0; seq = 0; tstart = 0; tend = 1; layer = Posix;
-        func = "pwrite"; args = [| "99"; "8"; "0" |]; ret = "8";
-        call_path = [];
-      };
-    ]
-  in
-  let healthy =
-    match Lazy.force traces with
-    | (w, records) :: _ -> B.job ~name:w.H.name ~nranks:w.H.nranks records
-    | [] -> Alcotest.fail "empty registry"
-  in
-  let jobs = [ healthy; B.job ~name:"bogus" ~nranks:1 bogus; healthy ] in
-  let raised =
-    try
-      ignore (B.run ~domains:2 jobs);
-      false
-    with V.Estore.Malformed _ -> true
-  in
-  check_bool "strict Malformed re-raised through Batch.run" true raised
+    (Invalid_argument "Batch.run_isolated: domains must be positive")
+    (fun () -> ignore (B.run_isolated ~domains:0 []))
 
 let test_model_subset_and_order () =
   (* Jobs verify exactly the requested models, in the requested order. *)
-  let w, records = List.hd (Lazy.force traces) in
   let models = [ V.Model.mpi_io; V.Model.posix ] in
   let r =
     List.hd
-      (B.run ~domains:1
-         [ B.job ~models ~name:w.H.name ~nranks:w.H.nranks records ])
+      (B.run_isolated ~domains:1
+         [ job_of ~models (List.hd (Lazy.force traces)) ])
   in
   check_bool "models in requested order" true
-    (List.map (fun ((m : V.Model.t), _) -> m.V.Model.name) r.B.outcomes
+    (List.map (fun ((m : V.Model.t), _) -> m.V.Model.name) (outcomes_of r)
     = [ "MPI-IO"; "POSIX" ])
 
 let () =
@@ -188,12 +155,8 @@ let () =
         [
           Alcotest.test_case "results in job order" `Quick
             test_results_in_job_order;
-          Alcotest.test_case "verdicts_agree across domain counts" `Quick
-            test_verdicts_agree;
           Alcotest.test_case "empty and single job" `Quick test_empty_and_single;
           Alcotest.test_case "invalid domain count" `Quick test_invalid_domains;
-          Alcotest.test_case "failing job propagates" `Quick
-            test_failing_job_propagates;
           Alcotest.test_case "model subset and order" `Quick
             test_model_subset_and_order;
         ] );

@@ -278,6 +278,76 @@ let test_damaged_segment_lenient () =
   check_bool "CRC mismatch listed after the segment" true (segment < crc)
 
 (* ------------------------------------------------------------------ *)
+(* Faulted reads: one answer from both file entry points                *)
+(* ------------------------------------------------------------------ *)
+
+(* 120 records over three ranks, so a short read or a flipped bit lands
+   in a record segment as often as in the header or footer. *)
+let wider =
+  List.concat_map
+    (fun rank ->
+      List.init 40 (fun seq ->
+          mk rank seq R.Posix "pwrite"
+            [ "3"; "8"; string_of_int (8 * seq) ]
+            "8"
+            [ (R.Mpiio, "MPI_File_write_at") ]))
+    [ 0; 1; 2 ]
+
+(* Under codec.read's data policies, [fold_records path] and
+   [decode_ext (read_file path)] read the same faulted bytes, so they
+   give the same records, diagnostics or [Malformed]. The fabric is
+   configured afresh before each call, so both draw the same hit
+   number. *)
+let test_faulted_file_one_answer () =
+  let module F = Vio_util.Failpoint in
+  let configure spec =
+    match F.configure spec with Ok () -> () | Error e -> Alcotest.fail e
+  in
+  let fold ~mode path =
+    let f = Codec.fold_records ~mode path ~init:[] ~f:(fun acc r -> r :: acc) in
+    {
+      Codec.nranks = f.Codec.f_nranks;
+      records = List.rev f.Codec.f_value;
+      diagnostics = f.Codec.f_diagnostics;
+    }
+  in
+  let check fmt path spec mode =
+    let what =
+      Printf.sprintf "%s %s %s" (Codec.format_name fmt) spec
+        (match mode with Diag.Strict -> "strict" | Diag.Lenient -> "lenient")
+    in
+    configure spec;
+    let from_file = answer (fun () -> fold ~mode path) in
+    configure spec;
+    let from_bytes =
+      answer (fun () -> Codec.decode_ext ~mode (Codec.read_file path))
+    in
+    Alcotest.(check string) (what ^ ": file answer = bytes answer")
+      (show from_bytes) (show from_file);
+    check_bool (what ^ ": same records") true (from_bytes = from_file);
+    (* The policy acts on the file path too: strictly, the damaged
+       trace is refused. *)
+    if mode = Diag.Strict then
+      check_bool (what ^ ": refused") true (Result.is_error from_file)
+  in
+  Fun.protect ~finally:F.clear (fun () ->
+      List.iter
+        (fun fmt ->
+          let specs =
+            [ "codec.read=short:64"; "codec.read=short:0" ]
+            @
+            if fmt = Codec.Binary then
+              List.map (Printf.sprintf "codec.read=bitflip:%d") [ 1; 2; 3 ]
+            else []
+          in
+          with_temp_file (Codec.encode_format fmt ~nranks:3 wider) (fun path ->
+              List.iter
+                (fun spec ->
+                  List.iter (check fmt path spec) [ Diag.Strict; Diag.Lenient ])
+                specs))
+        [ Codec.Text; Codec.Binary ])
+
+(* ------------------------------------------------------------------ *)
 (* Property: text -> binary -> estore equals text -> estore             *)
 (* ------------------------------------------------------------------ *)
 
@@ -361,6 +431,11 @@ let () =
             test_damaged_segment_strict;
           Alcotest.test_case "damaged segment and CRC (lenient)" `Quick
             test_damaged_segment_lenient;
+        ] );
+      ( "read fault",
+        [
+          Alcotest.test_case "one answer under codec.read data policies"
+            `Quick test_faulted_file_one_answer;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_cross_format_estore ] );

@@ -134,15 +134,20 @@ let subject_lines ~lenient ~nranks ~upstream records =
          (fun m ->
            outcome_line (m, P.verify_prepared ~model:m (P.prepare ~nranks records)))
          V.Model.builtin);
-  let job = V.Batch.job ~mode ~upstream ~name:"gate" ~nranks records in
+  let job =
+    V.Batch.job ~name:"gate" (fun budget ->
+        P.prepare ~mode ~upstream ~budget ~nranks records)
+  in
   List.iter
     (fun d ->
-      let res = V.Batch.run ~domains:d [ job ] in
       add
         (Printf.sprintf "batch:%d" d)
         (List.concat_map
-           (fun (r : V.Batch.result) -> List.map outcome_line r.V.Batch.outcomes)
-           res))
+           (fun (i : V.Batch.isolated) ->
+             match i.V.Batch.i_status with
+             | V.Batch.Done outcomes -> List.map outcome_line outcomes
+             | _ -> failwith "columnar gate: batch job did not finish")
+           (V.Batch.run_isolated ~domains:d [ job ])))
     [ 1; 2 ];
   add "partial"
     (List.map outcome_line

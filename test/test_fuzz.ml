@@ -94,10 +94,7 @@ let test_shrink_respects_budget () =
 
 let test_subject_names () =
   let names = D.subject_names in
-  check_int "5 engines + sequential + shared + batch" 8 (List.length names);
-  check_bool "one batch subject" true
-    (List.filter (fun n -> String.starts_with ~prefix:"batch" n) names
-    = [ "batch" ]);
+  check_int "5 engines + sequential + shared" 7 (List.length names);
   check_bool "interval-index is a subject" true
     (List.mem "engine:interval-index" names)
 

@@ -244,56 +244,73 @@ let test_budget_cuts_pipeline () =
 (* Batch fault isolation                                              *)
 (* ---------------------------------------------------------------- *)
 
-let bogus_records =
-  let open Recorder.Record in
-  [
-    {
-      rank = 0; seq = 0; tstart = 0; tend = 1; layer = Posix;
-      func = "pwrite"; args = [| "99"; "8"; "0" |]; ret = "8";
-      call_path = [];
-    };
-  ]
-
-let healthy_job () =
+let healthy () =
   match Workloads.Registry.all with
-  | w :: _ ->
-    B.job ~name:w.Workloads.Harness.name ~nranks:w.Workloads.Harness.nranks
-      (Workloads.Harness.run w)
+  | w :: _ -> (w, Workloads.Harness.run w)
   | [] -> Alcotest.fail "empty registry"
 
+let prepare_of ((w : Workloads.Harness.t), records) budget =
+  V.Pipeline.prepare ~budget ~nranks:w.Workloads.Harness.nranks records
+
+let healthy_job () =
+  let trace = healthy () in
+  B.job ~name:(fst trace).Workloads.Harness.name (prepare_of trace)
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+(* A strict-mode trace with a data op on a never-opened fd is malformed. *)
+let bogus_job =
+  let bogus =
+    let open Recorder.Record in
+    [
+      {
+        rank = 0; seq = 0; tstart = 0; tend = 1; layer = Posix;
+        func = "pwrite"; args = [| "99"; "8"; "0" |]; ret = "8";
+        call_path = [];
+      };
+    ]
+  in
+  B.job ~name:"bogus" (fun budget -> V.Pipeline.prepare ~budget ~nranks:1 bogus)
+
+(* A preparation that fails the same way every time, but not as malformed
+   input, spends the whole retry allowance; a malformed trace fails the
+   same way on every attempt by definition, so it is quarantined at once. *)
 let test_isolated_quarantines_failures () =
   let jobs =
-    [ healthy_job (); B.job ~name:"bogus" ~nranks:1 bogus_records;
-      healthy_job () ]
+    [ healthy_job (); B.job ~name:"failing" (fun _ -> failwith "boom");
+      bogus_job; healthy_job () ]
   in
   let results = B.run_isolated ~domains:2 ~retries:2 jobs in
-  check_int "one result per job" 3 (List.length results);
-  (match results with
-  | [ a; b; c ] ->
+  check_int "one result per job" 4 (List.length results);
+  match results with
+  | [ a; b; m; c ] ->
     check_bool "healthy jobs done" true
       (match (a.B.i_status, c.B.i_status) with
       | B.Done _, B.Done _ -> true
       | _ -> false);
-    check_bool "bogus job quarantined after all attempts" true
+    check_bool "failing job quarantined after all attempts" true
       (match b.B.i_status with
       | B.Quarantined { attempts = 3; error } ->
         (* 1 try + 2 retries *)
         error <> ""
       | _ -> false);
     check_int "attempts recorded" 3 b.B.i_attempts;
+    check_bool "malformed job quarantined after one attempt" true
+      (match m.B.i_status with
+      | B.Quarantined { attempts = 1; error } ->
+        contains error "Estore.Malformed"
+      | _ -> false);
+    check_int "malformed job not retried" 1 m.B.i_attempts;
     check_int "healthy needed one attempt" 1 a.B.i_attempts
-  | _ -> Alcotest.fail "wrong result count");
-  check_int "quarantined selector" 1 (List.length (B.quarantined results))
+  | _ -> Alcotest.fail "wrong result count"
 
 let test_isolated_budget_times_out_without_retry () =
-  let w, records =
-    match Workloads.Registry.all with
-    | w :: _ -> (w, Workloads.Harness.run w)
-    | [] -> Alcotest.fail "empty registry"
-  in
-  let jobs =
-    [ B.job ~budget:5 ~name:"tiny" ~nranks:w.Workloads.Harness.nranks records ]
-  in
+  let jobs = [ B.job ~budget:5 ~name:"tiny" (prepare_of (healthy ())) ] in
   match B.run_isolated ~retries:3 jobs with
   | [ r ] ->
     check_bool "budget overrun -> Timed_out" true
@@ -303,23 +320,34 @@ let test_isolated_budget_times_out_without_retry () =
     check_int "deterministic overrun is not retried" 1 r.B.i_attempts
   | _ -> Alcotest.fail "wrong result count"
 
-let test_isolated_matches_run_on_healthy_jobs () =
-  let jobs = [ healthy_job (); healthy_job () ] in
-  let plain = B.run ~domains:1 jobs in
-  let isolated = B.run_isolated ~domains:1 jobs in
-  List.iter2
-    (fun (p : B.result) (i : B.isolated) ->
-      match i.B.i_status with
-      | B.Done outcomes ->
-        check_int ("same verdicts: " ^ p.B.job.B.name)
-          (List.length p.B.outcomes) (List.length outcomes);
-        List.iter2
-          (fun (_, (a : V.Pipeline.outcome)) (_, (b : V.Pipeline.outcome)) ->
-            check_int "same races" a.V.Pipeline.race_count
-              b.V.Pipeline.race_count)
-          p.B.outcomes outcomes
-      | _ -> Alcotest.fail "healthy job not Done")
-    plain isolated
+(* Same models in the same order with identical race lists, unmatched
+   counts and conflict counts. *)
+let verdicts outcomes =
+  List.map
+    (fun ((m : V.Model.t), (o : V.Pipeline.outcome)) ->
+      ( m.V.Model.name,
+        o.V.Pipeline.races,
+        List.length o.V.Pipeline.unmatched,
+        o.V.Pipeline.conflicts ))
+    outcomes
+
+let done_verdicts (i : B.isolated) =
+  match i.B.i_status with
+  | B.Done outcomes -> verdicts outcomes
+  | _ -> Alcotest.fail (i.B.i_job.B.name ^ ": healthy job not done")
+
+let test_isolated_matches_pipeline_on_healthy_jobs () =
+  let ((w, records) as trace) = healthy () in
+  let expected =
+    let p = V.Pipeline.prepare ~nranks:w.Workloads.Harness.nranks records in
+    verdicts
+      (List.map (fun m -> (m, V.Pipeline.verify_prepared ~model:m p))
+         V.Model.builtin)
+  in
+  let job = B.job ~name:"healthy" (prepare_of trace) in
+  List.iter
+    (fun i -> check_bool "same verdicts" true (done_verdicts i = expected))
+    (B.run_isolated ~domains:1 [ job; job ])
 
 let test_invalid_retries () =
   Alcotest.check_raises "negative retries rejected"
@@ -337,14 +365,15 @@ let test_domain_clamping () =
   check_int "small request honored" 1 (B.effective_domains (Some 1));
   check_int "default" (B.default_domains ()) (B.effective_domains None);
   Alcotest.check_raises "zero rejected"
-    (Invalid_argument "Batch.run: domains must be positive") (fun () ->
-      ignore (B.effective_domains (Some 0)));
+    (Invalid_argument "Batch.run_isolated: domains must be positive")
+    (fun () -> ignore (B.effective_domains (Some 0)));
   (* An over-subscribed run still completes and agrees with domains=1. *)
   let jobs = [ healthy_job (); healthy_job () ] in
-  let a = B.run ~domains:1 jobs in
-  let b = B.run ~domains:10_000 jobs in
+  let a = B.run_isolated ~domains:1 jobs in
+  let b = B.run_isolated ~domains:10_000 jobs in
   List.iter2
-    (fun x y -> check_bool "clamped run agrees" true (B.verdicts_agree x y))
+    (fun x y ->
+      check_bool "clamped run agrees" true (done_verdicts x = done_verdicts y))
     a b
 
 let () =
@@ -379,8 +408,8 @@ let () =
             test_isolated_quarantines_failures;
           Alcotest.test_case "budget overrun times out, no retry" `Quick
             test_isolated_budget_times_out_without_retry;
-          Alcotest.test_case "healthy jobs match Batch.run" `Quick
-            test_isolated_matches_run_on_healthy_jobs;
+          Alcotest.test_case "healthy jobs match the pipeline" `Quick
+            test_isolated_matches_pipeline_on_healthy_jobs;
           Alcotest.test_case "invalid retries" `Quick test_invalid_retries;
           Alcotest.test_case "domain clamping" `Quick test_domain_clamping;
         ] );

@@ -50,7 +50,14 @@ let test_jobspec_round_trip () =
   check_bool "garbage rejected" true
     (match Spool.jobspec_of_json (J.Str "nope") with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  (* Bounds below 1 are refused here, whoever wrote the job file:
+     [Spool.submit] does not check them. *)
+  List.iter
+    (fun s ->
+      check_bool "non-positive bound rejected" true
+        (Result.is_error (Spool.jobspec_of_json (Spool.jobspec_to_json s))))
+    [ spec ~timeout_ms:0 (); spec ~budget:(-3) () ]
 
 let test_response_round_trip () =
   let root = fresh_dir () in
@@ -474,16 +481,25 @@ let test_daemon_cache_hit_and_statuses () =
   let bad = spec ~id:"bad" ~trace:bad_path () in
   let hog = spec ~id:"hog" ~trace ~budget:1 () in
   let missing = spec ~id:"missing" ~trace:(Filename.concat root "gone.vio") () in
+  let dir_trace = Filename.concat root "a-dir.vio" in
+  Fsio.ensure_dir dir_trace;
+  let dir = spec ~id:"dir" ~trace:dir_trace () in
   let unknown = spec ~id:"unknown" ~trace ~models:[ "NotAModel" ] () in
+  let zero_timeout = spec ~id:"zero-timeout" ~trace ~timeout_ms:0 () in
+  let negative_budget = spec ~id:"negative-budget" ~trace ~budget:(-3) () in
   List.iter
     (fun s -> ignore (Spool.submit spool s))
-    [ good; bad; hog; missing; unknown ];
+    [ good; bad; hog; missing; dir; unknown; zero_timeout; negative_budget ];
   let summary = Daemon.run (daemon_cfg root) in
-  check_int "all terminal" 5 summary.Daemon.completed;
-  let status id =
+  check_int "all terminal" 8 summary.Daemon.completed;
+  let response id =
     match Spool.read_response spool ~id with
-    | Ok r -> (r.Spool.r_status, r.Spool.r_exit, r.Spool.r_cached)
+    | Ok r -> r
     | Error e -> Alcotest.fail (id ^ ": " ^ e)
+  in
+  let status id =
+    let r = response id in
+    (r.Spool.r_status, r.Spool.r_exit, r.Spool.r_cached)
   in
   let good_status, good_exit, good_cached = status "good" in
   check_string "good done" "done" good_status;
@@ -492,10 +508,23 @@ let test_daemon_cache_hit_and_statuses () =
     (good_exit = 0 || good_exit = 2 || good_exit = 5);
   check_bool "bad quarantined" true (status "bad" = ("quarantined", 7, false));
   check_bool "hog timed out" true (status "hog" = ("timed_out", 6, false));
-  check_bool "missing quarantined" true
-    (status "missing" = ("quarantined", 7, false));
+  (* A trace the daemon cannot hash fails the same way on every
+     restart, so it is quarantined instead of crashing the daemon. *)
+  List.iter
+    (fun id ->
+      check_bool (id ^ " quarantined") true
+        (status id = ("quarantined", 7, false));
+      check_bool (id ^ ": the read error is named") true
+        (match (response id).Spool.r_error with
+        | Some e -> String.starts_with ~prefix:"unreadable trace: " e
+        | None -> false))
+    [ "missing"; "dir" ];
   check_bool "unknown rejected" true
     (status "unknown" = ("rejected", 2, false));
+  check_bool "zero timeout rejected" true
+    (status "zero-timeout" = ("rejected", 2, false));
+  check_bool "negative budget rejected" true
+    (status "negative-budget" = ("rejected", 2, false));
   check_bool "bad set aside" true
     (Sys.file_exists (Filename.concat spool.Spool.quarantine "bad.job"));
   (* Resubmit the good job under a fresh id: answered from the cache. *)
@@ -658,5 +687,6 @@ let () =
             test_daemon_admission_control;
           Alcotest.test_case "failed cache stores are counted" `Quick
             test_daemon_cache_store_failures;
+
         ] );
     ]

@@ -417,9 +417,8 @@ let test_failpoint_disabled_noop () =
   check_int "hit on disabled fabric counts nothing" 0 (F.hit_count "codec.read");
   check_int "adjust_len is the identity when off" 4096
     (F.adjust_len "fsio.append" 4096);
-  let buf = String.make 64 'x' in
-  check_bool "mangle returns the very same buffer when off" true
-    (F.mangle "codec.read" buf == buf)
+  check_bool "bitflip draws nothing when off" true
+    (F.bitflip "codec.read" ~len:64 = None)
 
 let test_failpoint_spec_parse () =
   F.clear ();
@@ -492,23 +491,18 @@ let test_failpoint_short_and_bitflip () =
   check_int "long write clamped" 4 (F.adjust_len "fsio.append" 100);
   check_int "short write untouched" 2 (F.adjust_len "fsio.append" 2);
   F.set ~site:"codec.read" (F.Bitflip 5);
-  let buf = String.make 32 '\000' in
-  let m1 = F.mangle "codec.read" buf in
-  check_bool "mangled copy differs from input" true (m1 <> buf);
-  let flipped_bits =
-    let n = ref 0 in
-    String.iteri
-      (fun i c ->
-        let x = Char.code c lxor Char.code buf.[i] in
-        let rec pop x = if x = 0 then 0 else (x land 1) + pop (x lsr 1) in
-        n := !n + pop x)
-      m1;
-    !n
-  in
-  check_int "exactly one bit flipped" 1 flipped_bits;
+  let b1 = F.bitflip "codec.read" ~len:32 in
+  (match b1 with
+  | Some (byte, bit) ->
+    check_bool "one bit inside the buffer" true
+      (byte >= 0 && byte < 32 && bit >= 0 && bit < 8)
+  | None -> Alcotest.fail "bitflip drew no bit");
+  check_int "the draw counts as a hit" 1 (F.hit_count "codec.read");
+  check_bool "an empty buffer has no bit to flip" true
+    (F.bitflip "codec.read" ~len:0 = None);
   F.set ~site:"codec.read" (F.Bitflip 5);
   check_bool "same seed flips the same bit on the same hit" true
-    (F.mangle "codec.read" buf = m1);
+    (F.bitflip "codec.read" ~len:32 = b1);
   F.clear ()
 
 (* ------------------------------------------------------------------ *)
