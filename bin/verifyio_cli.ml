@@ -11,9 +11,8 @@
                       optimized path vs the naive oracle, shrinking repros
      serve            crash-safe verification daemon over a spool directory
      submit           drop a job into a serve spool (optionally wait)
-     chaos            kill the daemon mid-batch, validate crash recovery
-     torture          failpoint campaign: sweep every fault site, assert
-                      the robustness invariants
+     torture          robustness campaign: sweep every fault site and
+                      SIGKILL the daemon, assert the robustness invariants
      models           print the builtin consistency models (paper Table I)
      coverage         print tracer API coverage (paper Table II)
      stats            per-layer/function statistics of a trace
@@ -168,8 +167,12 @@ type source =
   | File of string
   | Records of int * Recorder.Record.t list * Recorder.Diagnostic.t list
 
+(* Only a path that exists and is not a directory names a trace file; a
+   directory is refused as a missing file is. *)
+let is_file path = Sys.file_exists path && not (Sys.is_directory path)
+
 let load source =
-  if Sys.file_exists source then Ok (File source)
+  if is_file source then Ok (File source)
   else
     match Workloads.Registry.find source with
     | Some w -> Ok (Records (w.nranks, Workloads.Harness.run w, []))
@@ -213,7 +216,7 @@ let prepare ~engine ~mode ~partial ~budget = function
    convert that silently dropped records would change verdicts. *)
 let convert_cmd source out to_format =
   let* () =
-    if Sys.file_exists source then Ok ()
+    if is_file source then Ok ()
     else Error (Printf.sprintf "no such trace file: %s" source)
   in
   let encoded = Recorder.Codec.read_file source in
@@ -479,6 +482,10 @@ let fuzz_replay path models =
       |> List.map (Filename.concat path)
     else [ path ]
   in
+  let* () =
+    if files = [] then Error (Printf.sprintf "no .vio-trace file in %s" path)
+    else Ok ()
+  in
   Printf.printf "replay: %s (%d trace(s))\n" path (List.length files);
   let bad = ref 0 in
   List.iter
@@ -569,113 +576,23 @@ let fuzz_generate seed count smoke shrink save_corpus models profile =
   Printf.printf "divergences: %d\n" (List.length !divergent);
   if !divergent = [] then 0 else 4
 
-(* Resilience campaign: every generated program becomes a supervised
-   batch job (lenient decode + partial matching), one third of the seeds
-   mutated with a rank abort and one third with a tail truncation. The
-   supervisor guarantees every job ends in a verdict, a budget timeout,
-   or quarantine — never an uncaught exception. *)
-let fuzz_resilience seed count smoke retries budget timeout_ms =
-  let count = if smoke then 8 else count in
-  Printf.printf "resilience: seed %d, %d job(s), retries %d%s%s%s\n" seed count
-    retries
-    (match budget with
-    | Some b -> Printf.sprintf ", budget %d" b
-    | None -> "")
-    (match timeout_ms with
-    | Some t -> Printf.sprintf ", timeout %d ms" t
-    | None -> "")
-    (if smoke then " (smoke)" else "");
-  let mutations = [| "pristine"; "abort"; "truncate" |] in
-  let jobs =
-    List.init count (fun i ->
-        let s = seed + i in
-        let p = Viogen.Workload.generate ~seed:s () in
-        let nranks = p.Viogen.Workload.nranks in
-        let kind = s mod 3 in
-        let records =
-          match kind with
-          | 1 ->
-            (* Rank abort: a rank dies mid-run, leaving in-flight
-               records. Rank and call-count choice are pure functions of
-               the seed. *)
-            let rank = (s / 3) mod nranks in
-            let ncalls = 1 + ((s / 7) mod 5) in
-            Viogen.Workload.run ~abort_rank:(rank, ncalls) p
-          | 2 ->
-            (* Tail truncation: the trace of a rank that stopped
-               reporting — well-formed but incomplete. *)
-            let records = Viogen.Workload.run p in
-            fst (Viogen.Mutate.random_truncation ~seed:s ~nranks records)
-          | _ -> Viogen.Workload.run p
-        in
-        Verifyio.Batch.job ?budget
-          ~name:(Printf.sprintf "seed%d/%s" s mutations.(kind))
-          (fun budget ->
-            Verifyio.Pipeline.prepare ~mode:Recorder.Diagnostic.Lenient
-              ~partial:true ~budget ~nranks records))
-  in
-  let isolated = Verifyio.Batch.run_isolated ~retries ?timeout_ms jobs in
-  print_string (Verifyio.Report.quarantine_summary isolated);
-  let inventories = ref 0 and partial_races = ref 0 and mutated = ref 0 in
-  List.iter
-    (fun (i : Verifyio.Batch.isolated) ->
-      if
-        not
-          (Filename.check_suffix i.Verifyio.Batch.i_job.Verifyio.Batch.name
-             "pristine")
-      then incr mutated;
-      match i.Verifyio.Batch.i_status with
-      | Verifyio.Batch.Done outcomes ->
-        List.iter
-          (fun (_, (o : Verifyio.Pipeline.outcome)) ->
-            if o.Verifyio.Pipeline.inventory <> [] then incr inventories;
-            List.iter
-              (fun (r : Verifyio.Verify.race) ->
-                if r.Verifyio.Verify.confidence = Verifyio.Verify.Under_partial_order
-                then incr partial_races)
-              o.Verifyio.Pipeline.races)
-          outcomes
-      | _ -> ())
-    isolated;
-  Printf.printf
-    "campaign: %d mutated job(s); %d verdict(s) with unmatched inventories, \
-     %d race(s) under partial order\n"
-    !mutated !inventories !partial_races;
-  0
-
 let fuzz_cmd seed count smoke shrink replay save_corpus models_spec
-    profile_extended resilience retries budget timeout_ms =
+    profile_extended =
   let* models = parse_models models_spec in
   let profile =
     if profile_extended then Viogen.Workload.Extended
     else Viogen.Workload.Classic
   in
-  let* () =
-    if retries < 0 then Error "retries must be >= 0"
-    else
-      match budget with
-      | Some b when b < 1 -> Error "budget must be a positive step count"
-      | _ -> Ok ()
-  in
-  let* () =
-    match timeout_ms with
-    | Some t when t < 1 ->
-      Error "timeout must be a positive millisecond count"
-    | _ -> Ok ()
-  in
-  if resilience then fuzz_resilience seed count smoke retries budget timeout_ms
-  else
-    match replay with
-    | Some path ->
-      if Sys.file_exists path then fuzz_replay path models
-      else begin
-        Printf.eprintf "no such trace or directory: %s\n" path;
-        usage_error
-      end
-    | None ->
-      fuzz_generate seed count smoke shrink save_corpus models profile
+  match replay with
+  | Some path ->
+    if Sys.file_exists path then fuzz_replay path models
+    else begin
+      Printf.eprintf "no such trace or directory: %s\n" path;
+      usage_error
+    end
+  | None -> fuzz_generate seed count smoke shrink save_corpus models profile
 
-(* ---- verification as a service: serve / submit / chaos ---- *)
+(* ---- verification as a service: serve / submit / torture ---- *)
 
 let absolutize p =
   if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
@@ -723,7 +640,7 @@ let serve_cmd failpoints root domains retries timeout_ms backoff_ms budget hwm
 let submit_cmd root trace id model_name all_models lenient partial budget
     timeout_ms wait wait_ms =
   let* () =
-    if not (Sys.file_exists trace) then
+    if not (is_file trace) then
       Error (Printf.sprintf "no such trace file: %s" trace)
     else
       match (budget, timeout_ms) with
@@ -793,28 +710,11 @@ let submit_cmd root trace id model_name all_models lenient partial budget
     poll 0
   end
 
-let chaos_cmd root jobs kills seed domains quiet =
-  let* () =
-    if jobs < 1 then Error "jobs must be >= 1"
-    else if kills < 0 then Error "kills must be >= 0"
-    else
-      match domains with
-      | Some d when d < 1 -> Error "domains must be >= 1"
-      | _ -> Ok ()
-  in
-  let cfg =
-    { Serve.Chaos.root; exe = Sys.executable_name; jobs; kills; seed;
-      domains; quiet }
-  in
-  let r = Serve.Chaos.run cfg in
-  Format.printf "[chaos] %a@." Serve.Chaos.pp_report r;
-  if r.Serve.Chaos.violations = [] then 0 else 4
-
 let torture_cmd seeds base_seed root smoke quiet =
   let* () = if seeds < 1 then Error "seeds must be >= 1" else Ok () in
   let seeds = if smoke then 1 else seeds in
   let cfg = { Serve.Torture.seeds; base_seed; root; quiet } in
-  let r = Serve.Torture.run cfg in
+  let r = Serve.Torture.run ~exe:Sys.executable_name cfg in
   Format.printf "[torture] %a@." Serve.Torture.pp_report r;
   if r.Serve.Torture.t_violations = [] then 0 else 4
 
@@ -962,9 +862,9 @@ let retries_arg =
     value & opt int 1
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Supervised campaigns re-attempt a job that raised up to N more \
-           times before quarantining it (budget timeouts are never \
-           retried; they are deterministic).")
+          "Re-attempt a job that raised up to N more times before \
+           quarantining it (budget timeouts are never retried; they are \
+           deterministic).")
 
 let inject_arg =
   Arg.(
@@ -1052,17 +952,6 @@ let fuzz_smoke_arg =
           "CI-sized run: 8 programs. Deterministic output (locked by a cram \
            test).")
 
-let fuzz_resilience_arg =
-  Arg.(
-    value & flag
-    & info [ "resilience" ]
-        ~doc:
-          "Supervised resilience campaign instead of differential fuzzing: \
-           every generated program runs as a fault-isolated batch job with \
-           lenient decoding and partial MPI matching; a third of the seeds \
-           get a rank abort, a third a tail truncation. Ends with a \
-           quarantine summary; never crashes on a job failure.")
-
 let timeout_ms_opt_arg =
   Arg.(
     value
@@ -1099,10 +988,9 @@ let fuzz_term =
   Term.(
     const fuzz_cmd $ fuzz_seed_arg $ fuzz_count_arg $ fuzz_smoke_arg
     $ fuzz_shrink_arg $ fuzz_replay_arg $ fuzz_save_corpus_arg
-    $ fuzz_models_arg $ fuzz_profile_arg $ fuzz_resilience_arg $ retries_arg
-    $ budget_arg $ timeout_ms_opt_arg)
+    $ fuzz_models_arg $ fuzz_profile_arg)
 
-(* ---- serve / submit / chaos argument sets ---- *)
+(* ---- serve / submit argument sets ---- *)
 
 let root_arg =
   Arg.(
@@ -1210,36 +1098,15 @@ let submit_term =
     $ all_models_arg $ lenient_arg $ partial_arg $ budget_arg
     $ timeout_ms_opt_arg $ wait_arg $ wait_ms_arg)
 
-let chaos_jobs_arg =
-  Arg.(
-    value & opt int 20
-    & info [ "jobs" ] ~docv:"N" ~doc:"Generated well-formed jobs.")
-
-let chaos_kills_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "kills" ] ~docv:"N"
-        ~doc:"SIGKILL rounds before the clean recovery run.")
-
-let chaos_seed_arg =
-  Arg.(
-    value & opt int 7
-    & info [ "seed" ] ~docv:"N"
-        ~doc:"Drives trace generation and kill points.")
-
-let chaos_term =
-  Term.(
-    const chaos_cmd $ root_arg $ chaos_jobs_arg $ chaos_kills_arg
-    $ chaos_seed_arg $ serve_domains_arg $ quiet_arg)
-
 let torture_seeds_arg =
   Arg.(
     value & opt int Serve.Torture.default.Serve.Torture.seeds
     & info [ "seeds" ] ~docv:"N"
         ~doc:
           "Workload seeds to sweep; each runs the full per-seed scenario \
-           matrix (23 scenarios covering every failpoint site: codec \
-           reads, isolated batch jobs and the serve protocol).")
+           matrix (25 scenarios covering every failpoint site: codec \
+           reads, isolated batch jobs and the serve protocol, plus two \
+           SIGKILL scenarios against a child daemon).")
 
 let torture_base_seed_arg =
   Arg.(
@@ -1262,9 +1129,9 @@ let torture_smoke_arg =
     value & flag
     & info [ "smoke" ]
         ~doc:
-          "CI-sized campaign: one seed (23 scenarios: codec reads, \
-           isolated batch jobs, the serve protocol), same invariants as \
-           the full sweep.")
+          "CI-sized campaign: one seed (25 scenarios: codec reads, \
+           isolated batch jobs, the serve protocol, daemon kills), same \
+           invariants as the full sweep.")
 
 let torture_term =
   Term.(
@@ -1329,11 +1196,9 @@ let () =
         "Run the crash-safe verification daemon over a spool directory";
       cmd_of submit_term "submit"
         "Drop a verification job into a serve spool";
-      cmd_of chaos_term "chaos"
-        "Chaos-test the daemon: SIGKILL mid-batch, validate recovery";
       cmd_of torture_term "torture"
-        "Failpoint torture campaign: sweep every fault site, assert the \
-         robustness invariants";
+        "Robustness campaign: sweep every fault site and SIGKILL the \
+         daemon, assert the robustness invariants";
       cmd_of Term.(const models_cmd $ const ()) "models"
         "Print the builtin consistency models (Table I)";
       cmd_of Term.(const coverage_cmd $ const ()) "coverage"

@@ -45,43 +45,26 @@ let run_job ~timeout_ms j =
    shared counter; claims are atomic, every job runs on exactly one
    domain, and its result lands in its job's slot — so the output order
    (and, since each job is deterministic, its content) is independent of
-   scheduling. *)
+   scheduling. [f] is [run_isolated_job], which turns whatever a job
+   raises into a status, so no worker dies and every slot is filled. *)
 let pool ~ndomains f jobs =
   let arr = Array.of_list jobs in
   let n = Array.length arr in
   let results = Array.make n None in
   let next = Atomic.make 0 in
-  let worker _w =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (f arr.(i));
-        loop ()
-      end
-    in
-    loop ()
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (f arr.(i));
+      worker ()
+    end
   in
-  let failures =
-    if ndomains = 1 || n <= 1 then (worker 0; [])
-    else
-      Vio_util.Supervisor.run_workers ~tag:"batch.worker"
-        ~domains:(min ndomains n) worker
+  let spawned =
+    Array.init (max 0 (min ndomains n - 1)) (fun _ -> Domain.spawn worker)
   in
-  (* A worker that died between claiming a slot and filling it (e.g. an
-     injected [batch.worker] fault escaping the per-job capture) leaves
-     [None] holes; run those jobs here, sequentially. *)
-  if failures <> [] then begin
-    Vio_util.Supervisor.note_fallback ~tag:"batch.worker" failures;
-    Array.iteri
-      (fun i slot -> if Option.is_none slot then results.(i) <- Some (f arr.(i)))
-      results
-  end;
-  Array.to_list
-    (Array.map
-       (function
-         | Some r -> r
-         | None -> assert false (* every index below [n] was claimed *))
-       results)
+  worker ();
+  Array.iter Domain.join spawned;
+  Array.to_list (Array.map Option.get results)
 
 type status =
   | Done of (Model.t * Pipeline.outcome) list

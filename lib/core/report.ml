@@ -103,43 +103,6 @@ let unmatched_table (o : Pipeline.outcome) =
     Buffer.contents buf
   end
 
-let quarantine_summary (isolated : Batch.isolated list) =
-  let buf = Buffer.create 256 in
-  let count p = List.length (List.filter p isolated) in
-  let done_ =
-    count (fun i -> match i.Batch.i_status with Batch.Done _ -> true | _ -> false)
-  in
-  let timed_out =
-    count (fun i ->
-        match i.Batch.i_status with Batch.Timed_out _ -> true | _ -> false)
-  in
-  let quarantined =
-    count (fun i ->
-        match i.Batch.i_status with Batch.Quarantined _ -> true | _ -> false)
-  in
-  let retried =
-    count (fun i -> i.Batch.i_attempts > 1)
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "supervisor: %d job(s) — %d done, %d timed out, %d quarantined, %d \
-        retried\n"
-       (List.length isolated) done_ timed_out quarantined retried);
-  List.iter
-    (fun (i : Batch.isolated) ->
-      match i.Batch.i_status with
-      | Batch.Done _ -> ()
-      | Batch.Timed_out { stage; limit; used } ->
-        Buffer.add_string buf
-          (Printf.sprintf "  timed out    %-24s %s stage, %d of %d steps\n"
-             i.Batch.i_job.Batch.name stage used limit)
-      | Batch.Quarantined { attempts; error } ->
-        Buffer.add_string buf
-          (Printf.sprintf "  quarantined  %-24s after %d attempt(s): %s\n"
-             i.Batch.i_job.Batch.name attempts error))
-    isolated;
-  Buffer.contents buf
-
 let summary_line ~name (o : Pipeline.outcome) =
   Printf.sprintf "%-24s %-8s conflicts=%-8d races=%-8d unmatched=%d" name
     o.Pipeline.model.Model.name o.Pipeline.conflicts o.Pipeline.race_count

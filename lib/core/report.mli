@@ -25,11 +25,6 @@ val unmatched_table : Pipeline.outcome -> string
     calls" verdict line when the run found no races. Empty string when the
     inventory is empty. *)
 
-val quarantine_summary : Batch.isolated list -> string
-(** Supervisor roll-up for a fault-isolated batch: one headline counter
-    line (done / timed out / quarantined / retried), then one line per
-    non-[Done] job with its stage or error. *)
-
 val summary_line : name:string -> Pipeline.outcome -> string
 (** One line: test name, model, conflicts, races, unmatched. *)
 

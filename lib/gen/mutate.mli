@@ -1,4 +1,5 @@
-(** Trace mutations for resilience fuzzing.
+(** Trace mutations: the tail-truncated traces the torture campaign's
+    isolated batch jobs read.
 
     Unlike {!Recorder.Inject}, which corrupts encoded bytes, these operate
     on decoded record lists and always leave a {e well-formed} trace — the

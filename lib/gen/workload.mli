@@ -144,8 +144,8 @@ val run : ?abort_rank:int * int -> program -> Recorder.Record.t list
     barrier, close the files), so session and EOF state are always
     well-defined. [abort_rank] is forwarded to {!Mpisim.Engine.run}: the
     given rank crashes at the start of its (n+1)-th MPI operation,
-    leaving in-flight records — the resilience campaign's rank-abort
-    mutation. *)
+    leaving in-flight records — the rank-abort mutation the torture
+    campaign's isolated batch jobs read. *)
 
 val step_to_string : step -> string
 

@@ -15,8 +15,8 @@
     the stage-then-rename protocol ({!Vio_util.Fsio.atomic_write}): a
     crash at any instant leaves either no entry or a complete one, never
     a torn file. Entry contents are fully deterministic (no timestamps,
-    no walls), which is what makes the chaos test's strongest assertion
-    possible: a cache entry written by a daemon that was SIGKILLed and
+    no walls), which is what makes the torture campaign's strongest
+    assertion possible: a cache entry written by a daemon that was SIGKILLed and
     restarted mid-batch is byte-identical to one computed by a fresh
     sequential run. *)
 

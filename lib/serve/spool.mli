@@ -91,8 +91,8 @@ val write_response : t -> response -> unit
 (** Atomically (re)write [responses/<id>.json]. *)
 
 val read_response : t -> id:string -> (response, string) result
-(** Parse a response back (used by [submit --wait] and the chaos
-    validator); [Error] when absent or torn. *)
+(** Parse a response back (used by [submit --wait] and the torture
+    campaign's recovery check); [Error] when absent or torn. *)
 
 val response_path : t -> id:string -> string
 

@@ -432,8 +432,8 @@ let test_spool_tmp_survivor_recovery () =
     | Error _ -> false)
 
 (* The byte-identity contract, in-process: every cache entry the daemon
-   writes equals the fresh sequential reference ([Chaos.fresh_entry]).
-   (The chaos campaign checks the same property across kills and child
+   writes equals the fresh sequential reference ([Torture.fresh_entry]).
+   (The torture campaign checks the same property across kills and child
    processes; this is the deterministic fast path.) *)
 let test_daemon_cache_byte_identity () =
   let root = fresh_dir () in
@@ -466,7 +466,7 @@ let test_daemon_cache_byte_identity () =
           check_string
             (Printf.sprintf "%s/%s bytes" s.Spool.id
                model.Verifyio.Model.name)
-            (Serve.Chaos.fresh_entry s model)
+            (Serve.Torture.fresh_entry s model)
             entry)
         Verifyio.Model.builtin)
     specs
